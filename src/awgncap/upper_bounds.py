@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
+from scipy import optimize, special
 
 from . import radial
 from .radial import DEFAULT_QUAD, QuadratureSpec, RadialFunctions
@@ -217,18 +217,22 @@ def mckellips_nd(n: int, P: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def amplitude_threshold(n: int, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def amplitude_threshold(n: int) -> float:
     """Largest amplitude A*_n for which the refined bound is provable.
 
     A*_n is the smallest positive solution of
     1 - Q_n(A, A) = Vol(A) / ((2 pi)^{n/2} k_n(A) + Vol(A)); bisection over
     (1e-3, 50) to 1e-9.  A*_1 ~ 2.066, A*_2 ~ 2.364, A*_4 ~ 4.979.
+    1 - Q_n(A, A) = P(|A e_1 + Z|^2 <= A^2) is the noncentral chi-square
+    CDF with n degrees of freedom and noncentrality A^2, taken in closed
+    form: subtracting the quadrature Q_n from 1 cancels to rounding noise
+    at small A and large n.
     """
     if n == 1:
         return _amplitude_threshold_1d()
 
     def gap(A):
-        lhs = 1.0 - radial.q_n(n, A, A, spec)
+        lhs = float(special.chndtr(A * A, n, A * A))
         v = radial.vol_ball(n, A)
         rhs = v / ((2.0 * math.pi) ** (0.5 * n) * radial.k_n_closed(n, A) + v)
         return lhs - rhs

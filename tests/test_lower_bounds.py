@@ -1,12 +1,13 @@
 """Lower-bound tests: constellation geometry, moments, and MI estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
-from awgncap import upper_bounds
+from awgncap import lower_bounds, upper_bounds
 from awgncap.lower_bounds import (Constellation, a_n_constellation,
                                   analytical_lower_bound, constellation_mi,
                                   constellation_mi_mc, constellation_moments,
@@ -224,6 +225,63 @@ class TestConstellationMi:
         c = ring_constellation(3.0)
         with pytest.raises(ValueError):
             constellation_mi(c, dim=1)
+
+
+class TestMixtureKernel:
+    def test_logsumexp_rows_matches_scipy(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(scale=30.0, size=(200, 37))
+        expected = special.logsumexp(a, axis=1)
+        np.testing.assert_allclose(lower_bounds._logsumexp_rows(a.copy()),
+                                   expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_log_mixture_matches_weighted_logsumexp(self, dim, monkeypatch):
+        # a small block size makes the kernel run over many blocks
+        monkeypatch.setattr(lower_bounds, "_BLOCK_ENTRIES", 50)
+        rng = np.random.default_rng(4)
+        pts = rng.uniform(-5.0, 5.0, size=(9, dim))
+        probs = rng.dirichlet(np.ones(9))
+        Y = rng.uniform(-15.0, 15.0, size=(500, dim))
+        d2 = np.square(Y[:, None, :] - pts[None, :, :]).sum(axis=2)
+        expected = (special.logsumexp(-0.5 * d2, b=probs, axis=1)
+                    - 0.5 * dim * math.log(2.0 * math.pi))
+        got = lower_bounds._log_mixture(Y, pts, np.log(probs))
+        np.testing.assert_allclose(got, expected, rtol=1e-13)
+
+    @pytest.mark.parametrize("pts", [[[-1.0], [2.0], [9.0]],
+                                     [[0.0, 0.0], [1.5, 0.5], [7.0, -7.0]]])
+    def test_zero_weight_point_is_dropped(self, pts):
+        pts = np.array(pts)
+        with_zero = Constellation(points=pts, probs=np.array([0.5, 0.5, 0.0]))
+        without = Constellation.equiprobable(pts[:2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            a = constellation_mi(with_zero)
+            constellation_mi_mc(with_zero, samples=1000)
+        b = constellation_mi(without)
+        assert a.bits == pytest.approx(b.bits, abs=1e-14)
+
+
+class TestQuadratureRule:
+    """The refinement check of the node rule on the constellations the
+    sweeps and the packing checks use."""
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0])
+    def test_ring_error_estimate(self, snr_db):
+        A = math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
+        assert constellation_mi(ring_constellation(A)).err_bits <= 1e-12
+
+    @pytest.mark.parametrize("N", [4, 8, 16])
+    def test_packing_error_estimate(self, N):
+        c = a_n_constellation(N, delta_for_alpha(N, 4.0))
+        assert constellation_mi(c).err_bits <= 1e-12
+
+    def test_pam_scan_error_estimate_at_30db(self):
+        A = math.sqrt(1000.0)
+        for m in range(2, int(math.ceil(2.0 + 2.0 * A)) + 5):
+            c = Constellation.equiprobable(np.linspace(-A, A, m)[:, None])
+            assert constellation_mi(c).err_bits <= 1e-12, m
 
 
 class TestPamLowerBound:

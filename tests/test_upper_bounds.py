@@ -183,6 +183,26 @@ class TestRefinedNd:
         p4_db = 10.0 * math.log10(amplitude_threshold(4) ** 2 / 4.0)
         assert abs(p4_db - 7.92) <= 0.05
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_threshold_matches_quadrature_route(self, n):
+        # the same threshold equation with 1 - Q_n from the radial
+        # quadrature changes sign within 1e-9 of the closed-form root
+        def gap(A):
+            v = radial.vol_ball(n, A)
+            shell = (2.0 * math.pi) ** (0.5 * n) * radial.k_n_closed(n, A)
+            return 1.0 - radial.q_n(n, A, A) - v / (shell + v)
+
+        a = amplitude_threshold(n)
+        assert gap(a - 1e-9) > 0.0 > gap(a + 1e-9)
+
+    def test_high_dimension_threshold(self):
+        # 1 - Q_16 by quadrature cancels to rounding noise at small A,
+        # which broke the bisection bracket
+        assert amplitude_threshold(16) == pytest.approx(21.5422, abs=1e-4)
+        pt = refined_nd(16, 1.0)
+        assert pt.valid
+        assert math.isfinite(pt.rate_bits) and pt.rate_bits > 0.0
+
     def test_validity_flag(self):
         a2 = amplitude_threshold(2)
         assert refined_nd(2, (a2 - 1e-3) ** 2 / 2.0).valid
