@@ -259,8 +259,12 @@ def refined_nd(n: int, P: float,
     """
     if not P > 0:
         raise ValueError(f"snr must be positive, got {P}")
-    A = math.sqrt(n * P)
-    rf = RadialFunctions(n, A, spec)
+    return _refined_point(n, P, RadialFunctions(n, math.sqrt(n * P), spec))
+
+
+def _refined_point(n: int, P: float, rf: RadialFunctions) -> BoundPoint:
+    """refined_nd on the radial functions rf of the channel A = sqrt(nP)."""
+    A = rf.A
     q, g = rf.pair(A)
     g_tilde = 0.5 * n * q - g
     beta = 1.0 - q
@@ -281,7 +285,11 @@ def beta_star(n: int, A: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     which solves D_n(beta, 0) = D_n(beta, A) exactly.  c_n(A) -> -1/2 as
     A -> inf, so beta* approaches the McKellips-type mixing weight.
     """
-    rf = RadialFunctions(n, A, spec)
+    return _beta_star(n, A, RadialFunctions(n, A, spec))
+
+
+def _beta_star(n: int, A: float, rf: RadialFunctions) -> float:
+    """beta_star on the endpoint values of rf, which callers share."""
     q0, g0 = rf.pair(0.0)
     qA, gA = rf.pair(A)
     denom = q0 - qA
@@ -354,7 +362,7 @@ def _minmax_conjectured(n, A, rf) -> tuple[float, float]:
     """
     q0, _ = rf.pair(0.0)
     qA, _ = rf.pair(A)
-    bs = beta_star(n, A, rf.spec)
+    bs = _beta_star(n, A, rf)
     b0 = min(max(1.0 - q0, 1e-12), 1.0 - 1e-12)
     bA = min(max(1.0 - qA, 1e-12), 1.0 - 1e-12)
     cands = [
@@ -382,31 +390,21 @@ def _max_over_x(first, coeff, Q, G, xs, rf, refine: bool, rounds: int = 3):
     hi = xs[min(i + 1, len(xs) - 1)]
 
     def along(x):
-        q, g = rf.pair(float(x))
+        q, g = rf.grid_pair(x)
         return first + coeff * q + g
 
     xr, fr = _golden_max(along, lo, hi, iters=rounds)
     return max(best, fr), (xr if fr > best else float(xs[i])), best
 
 
-def minmax_dual_detail(n: int, A: float,
-                       spec: QuadratureSpec = DEFAULT_QUAD,
-                       verify: bool = True) -> MinmaxDetail:
-    """Evaluate min_beta max_x D_n(beta, x) both ways.
+def _minmax_verified(n, A, rf) -> tuple[float, float, float]:
+    """min over beta of max over x of D_n(beta, x) on the closed-form grid.
 
-    The conjectured route assumes the max over x sits at an endpoint and
-    uses the three-candidate closed evaluation.  The verified route runs
-    golden-section over beta on (0, 1) against a dense x grid (513 points
-    with local refinement) and records whether an interior x ever beat the
-    endpoints at the optimum.
+    Golden-section over beta on (0, 1) against 513 x values, each maximum
+    refined locally (_max_over_x).  Returns the value, its beta and the
+    interior excess: how far the refined maximum at that beta exceeds the
+    larger endpoint value.
     """
-    rf = RadialFunctions(n, A, spec)
-    conj_val, conj_beta = _minmax_conjectured(n, A, rf)
-    if not verify:
-        return MinmaxDetail(n=n, A=A, conjectured_nats=conj_val,
-                            verified_nats=None, beta_conjectured=conj_beta,
-                            beta_verified=None, interior_excess=None)
-
     xs = np.linspace(0.0, A, _X_GRID_POINTS)
     Q, G = rf.grid(xs)
 
@@ -420,10 +418,30 @@ def minmax_dual_detail(n: int, A: float,
     refined_max, _, _ = _max_over_x(first, coeff, Q, G, xs, rf, refine=True)
     endpoint_max = max(first + coeff * Q[0] + G[0],
                        first + coeff * Q[-1] + G[-1])
+    return val_v, beta_v, refined_max - endpoint_max
+
+
+def minmax_dual_detail(n: int, A: float,
+                       spec: QuadratureSpec = DEFAULT_QUAD,
+                       verify: bool = True) -> MinmaxDetail:
+    """Evaluate min_beta max_x D_n(beta, x) both ways.
+
+    The conjectured route assumes the max over x sits at an endpoint and
+    uses the three-candidate closed evaluation.  The verified route runs
+    golden-section over beta on (0, 1) against a dense x grid (513 points
+    with local refinement, radial values in closed form) and records
+    whether an interior x ever beat the endpoints at the optimum.
+    """
+    rf = RadialFunctions(n, A, spec)
+    conj_val, conj_beta = _minmax_conjectured(n, A, rf)
+    if not verify:
+        return MinmaxDetail(n=n, A=A, conjectured_nats=conj_val,
+                            verified_nats=None, beta_conjectured=conj_beta,
+                            beta_verified=None, interior_excess=None)
+    val_v, beta_v, excess = _minmax_verified(n, A, rf)
     return MinmaxDetail(n=n, A=A, conjectured_nats=conj_val,
                         verified_nats=val_v, beta_conjectured=conj_beta,
-                        beta_verified=beta_v,
-                        interior_excess=refined_max - endpoint_max)
+                        beta_verified=beta_v, interior_excess=excess)
 
 
 def minmax_dual(n: int, A: float, conjecture: bool = True,
@@ -431,15 +449,20 @@ def minmax_dual(n: int, A: float, conjecture: bool = True,
     """Min-max dual bound as a BoundPoint (bits).
 
     conjecture=True uses the endpoint-candidate evaluation; conjecture=False
-    runs the grid-verified optimization.  minmax_dual_detail exposes both
-    values plus the interior-vs-endpoint excess for conjecture checking.
+    runs the grid-verified optimization alone.  minmax_dual_detail exposes
+    both values plus the interior-vs-endpoint excess for conjecture checking.
     """
-    detail = minmax_dual_detail(n, A, spec, verify=not conjecture)
+    return _minmax_point(n, A, conjecture, RadialFunctions(n, A, spec))
+
+
+def _minmax_point(n: int, A: float, conjecture: bool,
+                  rf: RadialFunctions) -> BoundPoint:
+    """minmax_dual on the radial functions rf of the channel (n, A)."""
     if conjecture:
-        nats = detail.conjectured_nats
+        nats, _ = _minmax_conjectured(n, A, rf)
         bound_id = "minmax_conjectured"
     else:
-        nats = detail.verified_nats
+        nats, _, _ = _minmax_verified(n, A, rf)
         bound_id = "minmax_verified"
     P = A ** 2 / n
     # divergences are nonnegative; clip quadrature noise at vanishing SNR
@@ -461,6 +484,8 @@ def envelope(n: int, P: float, conjecture: bool = True,
         raise ValueError(f"snr must be positive, got {P}")
     A = math.sqrt(n * P)
     snr_db = 10.0 * math.log10(P)
+    # refined and min-max read the same endpoint values
+    rf = RadialFunctions(n, A, spec)
     cands: list[tuple[float, str]] = []
     if "avg_power" in include:
         cands.append((0.5 * n * math.log1p(P) / LN2, "avg_power"))
@@ -468,12 +493,12 @@ def envelope(n: int, P: float, conjecture: bool = True,
         cands.append((mckellips_1d(P) if n == 1 else mckellips_nd(n, P),
                       "mckellips"))
     if "refined" in include:
-        pt = refined_1d(P) if n == 1 else refined_nd(n, P, spec)
+        pt = refined_1d(P) if n == 1 else _refined_point(n, P, rf)
         if pt.valid:
             cands.append((pt.rate_bits, "refined"))
     if any(b.startswith("minmax") for b in include):
         mm_id = "minmax_conjectured" if conjecture else "minmax_verified"
-        cands.append((minmax_dual(n, A, conjecture, spec).rate_bits, mm_id))
+        cands.append((_minmax_point(n, A, conjecture, rf).rate_bits, mm_id))
     if not cands:
         raise ValueError("envelope needs at least one bound to minimize over")
     rate, achiever = min(cands, key=lambda t: t[0])

@@ -141,6 +141,18 @@ def suite_radial(seed: int = 0) -> list[CheckResult]:
     out.append(_result("radial", "q2_equals_marcum", worst, 1e-9))
 
     worst = 0.0
+    for n in (1, 2, 3, 5, 8):
+        for A in (0.25, 2.0, 10.0, 30.0):
+            xs = np.linspace(0.0, A, 33)
+            Q, G = radial.radial_pair_ncx2(n, xs, A)
+            Qp, Gp = radial.radial_pair_grid(n, xs, A)
+            worst = max(worst, float(np.max(np.abs(Q - Qp))),
+                        float(np.max(np.abs(G - Gp))))
+    out.append(_result("radial", "ncx2_grid_vs_panel", worst, 1e-10,
+                       "closed form vs panel rule, n in {1,2,3,5,8}, "
+                       "A in {0.25,2,10,30}, 33 x-values"))
+
+    worst = 0.0
     for n in (2, 3, 5):
         for A in (0.5, 2.0, 6.0):
             for frac in (0.0, 0.5, 1.0):

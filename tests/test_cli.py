@@ -2,9 +2,13 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import awgncap
 from awgncap import cli, radial, verify
 from awgncap.cli import available_bounds, compute_bound, main
 
@@ -137,6 +141,19 @@ class TestListBounds:
         for n in (1, 2, 4):
             pt = compute_bound("minmax_verified", n, 0.5)
             assert math.isfinite(pt.rate_bits)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(awgncap.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "awgncap",
+                               "--list-bounds"], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert "minmax_verified" in done.stdout
 
 
 class TestVerifyCommand:

@@ -127,12 +127,13 @@ class TestPositivityAndMonotonicity:
             assert radial.g_tilde_n(2, x, A) > 0.0
 
     def test_q_and_g_nondecreasing(self):
-        for n in (2, 3, 5):
-            for A in (0.25, 1.0, 4.0):
-                xs = np.linspace(0.0, A, 64)
-                Q, G = radial.radial_pair_grid(n, xs, A)
-                assert np.all(np.diff(Q) >= -1e-9)
-                assert np.all(np.diff(G) >= -1e-9)
+        for pair in (radial.radial_pair_grid, radial.radial_pair_ncx2):
+            for n in (2, 3, 5):
+                for A in (0.25, 1.0, 4.0):
+                    xs = np.linspace(0.0, A, 64)
+                    Q, G = pair(n, xs, A)
+                    assert np.all(np.diff(Q) >= -1e-9)
+                    assert np.all(np.diff(G) >= -1e-9)
 
 
 class TestGridEvaluator:
@@ -153,12 +154,260 @@ class TestGridEvaluator:
                                                 abs=1e-9)
 
     def test_empty_grid(self):
-        Q, G = radial.radial_pair_grid(2, [], 1.0)
-        assert Q.size == 0 and G.size == 0
+        for pair in (radial.radial_pair_grid, radial.radial_pair_ncx2):
+            Q, G = pair(2, [], 1.0)
+            assert Q.size == 0 and G.size == 0
 
     def test_grid_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            radial.radial_pair_grid(2, [0.0, 1.5], 1.0)
+        for pair in (radial.radial_pair_grid, radial.radial_pair_ncx2):
+            with pytest.raises(ValueError):
+                pair(2, [0.0, 1.5], 1.0)
+
+
+# (n, A, frac, Q_n(x, A), g_n(x, A)) at x = frac * A (the double), to 17
+# digits.  Generated with mpmath 1.3 at 40 digits by summing the Poisson
+# mixture of the noncentral chi-square outward from its largest term until
+# the terms fell below 1e-50 of the sums; where mpmath's quadrature of the
+# radial integral (with besseli) converges, the two agree to 1e-38:
+#
+#     import math, mpmath as mp
+#     mp.mp.dps = 40
+#     def term(n, mu, y, A, k):
+#         lw = (k * mp.log(mu) if mu > 0 else (0 if k == 0 else -mp.inf)) \
+#             - mu - mp.loggamma(k + 1)
+#         if lw == -mp.inf:
+#             return mp.mpf(0), mp.mpf(0)
+#         w, m = mp.exp(lw), n + 2 * k
+#         gbar = lambda a: mp.gammainc(a, y, mp.inf, regularized=True)
+#         cm = mp.sqrt(2) * mp.gamma((m + 1) / 2) / mp.gamma(m / 2)
+#         return w * gbar(m / 2), w * (m * gbar(m / 2 + 1)
+#             - 2 * A * cm * gbar((m + 1) / 2) + A * A * gbar(m / 2)) / 2
+#     def ref(n, x, A):
+#         n, x, A = mp.mpf(n), mp.mpf(x), mp.mpf(A)
+#         mu, y = x * x / 2, A * A / 2
+#         k0 = int(max(0, math.floor(float(x * A / 2))))
+#         Q, G = term(n, mu, y, A, k0)
+#         for step in (-1, 1):
+#             k = k0 + step
+#             while k >= 0:
+#                 tq, tg = term(n, mu, y, A, k)
+#                 Q, G = Q + tq, G + tg
+#                 if (tq <= mp.mpf(10) ** -50 * Q and abs(k - k0) > 5
+#                         and tg <= mp.mpf(10) ** -50 * abs(G)):
+#                     break
+#                 k += step
+#         return Q, G
+#     for n in (1, 2, 3, 4, 5, 8, 16):
+#         for A in (0.5, 3.0, 11.25, 25.0, 40.0):
+#             for frac in (0.0, 0.5, 0.9, 1.0):
+#                 q, g = ref(n, mp.mpf(frac * A), mp.mpf(A))
+#                 print((n, A, frac, *(mp.nstr(v, 17, min_fixed=0,
+#                                              max_fixed=0) for v in (q, g))))
+NCX2_REFERENCE = [
+    (1, 0.5, 0.0, 6.1707507745197379e-1, 2.0963926002533388e-1),
+    (1, 0.5, 0.5, 6.2792102669394448e-1, 2.2897983186696725e-1),
+    (1, 0.5, 0.9, 6.5111732047010935e-1, 2.7270866404922526e-1),
+    (1, 0.5, 1.0, 6.5865525393145705e-1, 2.8766989167188538e-1),
+    (1, 3.0, 0.0, 2.6997960632601891e-3, 2.0343508048692374e-4),
+    (1, 3.0, 0.5, 6.6810598941982796e-2, 1.1423642171935281e-2),
+    (1, 3.0, 0.9, 3.8208858380141883e-1, 1.5103010274899116e-1),
+    (1, 3.0, 1.0, 5.0000000098658765e-1, 2.5000000002422288e-1),
+    (1, 11.25, 0.0, 2.3159206371372835e-29, 1.7615068179541848e-31),
+    (1, 11.25, 0.5, 9.2753987345608214e-9, 2.5523761287981362e-10),
+    (1, 11.25, 0.9, 1.3029451713680885e-1, 2.8418644445210333e-2),
+    (1, 11.25, 1.0, 5.0e-1, 2.5e-1),
+    (1, 25.0, 0.0, 6.1133934127651218e-138, 9.7040906349687557e-141),
+    (1, 25.0, 0.5, 3.7325642988777134e-36, 2.3158125813589311e-38),
+    (1, 25.0, 0.9, 6.2096653257761352e-3, 5.9966118897781828e-4),
+    (1, 25.0, 1.0, 5.0e-1, 2.5e-1),
+    (1, 40.0, 0.0, 7.3117870818300594e-350, 4.5556517498407537e-353),
+    (1, 40.0, 0.5, 2.7536241186062337e-89, 6.7995645735369044e-92),
+    (1, 40.0, 0.9, 3.1671241833119921e-5, 1.5451040517486271e-6),
+    (1, 40.0, 1.0, 5.0e-1, 2.5e-1),
+    (2, 0.5, 0.0, 8.824969025845954e-1, 4.9580244340678739e-1),
+    (2, 0.5, 0.5, 8.8589414806095873e-1, 5.1737525213950151e-1),
+    (2, 0.5, 0.9, 8.9315226686189119e-1, 5.6596169879362315e-1),
+    (2, 0.5, 1.0, 8.9550858106985968e-1, 5.8252747719298502e-1),
+    (2, 3.0, 0.0, 1.1108996538242306e-2, 9.5791881638412374e-4),
+    (2, 3.0, 0.5, 1.0382690996724278e-1, 1.9203566769189961e-2),
+    (2, 3.0, 0.9, 4.5201802899301281e-1, 1.958944393079947e-1),
+    (2, 3.0, 1.0, 5.6747976229086151e-1, 3.115680812461594e-1),
+    (2, 11.25, 0.0, 3.2908062772749123e-28, 2.5408192421924318e-30),
+    (2, 11.25, 0.5, 1.3240586537401395e-8, 3.6926076074790865e-10),
+    (2, 11.25, 0.9, 1.404934068676203e-1, 3.1502138809953143e-2),
+    (2, 11.25, 1.0, 5.1774835836647774e-1, 2.6728437527173484e-1),
+    (2, 25.0, 0.0, 1.9185556689347851e-136, 3.0550711372899144e-139),
+    (2, 25.0, 0.5, 5.2890829735341945e-36, 3.2916519098095464e-38),
+    (2, 25.0, 0.9, 6.5890109843068686e-3, 6.427723554963945e-4),
+    (2, 25.0, 1.0, 5.0798044281574201e-1, 2.5788340792588558e-1),
+    (2, 40.0, 0.0, 3.6678745841776872e-348, 2.2881366983032342e-351),
+    (2, 40.0, 0.5, 3.8972414578917146e-89, 9.6353689422447941e-92),
+    (2, 40.0, 0.9, 3.3481205668837939e-5, 1.6414727978157214e-6),
+    (2, 40.0, 1.0, 5.0498716823414383e-1, 2.5494884962925854e-1),
+    (3, 0.5, 0.0, 9.6914040421627327e-1, 8.2671433747730767e-1),
+    (3, 0.5, 0.5, 9.7004376528612368e-1, 8.4969095327267478e-1),
+    (3, 0.5, 0.9, 9.7197255963805381e-1, 9.0134225940600603e-1),
+    (3, 0.5, 1.0, 9.7259836569603571e-1, 9.1892351129937814e-1),
+    (3, 3.0, 0.0, 2.9290886534888232e-2, 2.9032311437471128e-3),
+    (3, 3.0, 0.5, 1.5314500689183934e-1, 3.0961041872307953e-2),
+    (3, 3.0, 0.9, 5.233433172536311e-1, 2.4983056242409336e-1),
+    (3, 3.0, 1.0, 6.3298075909510425e-1, 3.8298076010591478e-1),
+    (3, 11.25, 0.0, 2.9770531677560293e-27, 2.3335357053168254e-29),
+    (3, 11.25, 0.5, 1.8827812335572643e-8, 5.3225247933081433e-10),
+    (3, 11.25, 0.9, 1.5122060560848288e-1, 3.4867564346127814e-2),
+    (3, 11.25, 1.0, 5.354615360356829e-1, 2.854615360356829e-1),
+    (3, 25.0, 0.0, 3.8330782616224615e-135, 6.1230975034000906e-138),
+    (3, 25.0, 0.5, 7.4887205852578302e-36, 4.6750113315992734e-38),
+    (3, 25.0, 0.9, 6.9887009032680702e-3, 6.8873395249462714e-4),
+    (3, 25.0, 1.0, 5.1595769121605731e-1, 2.6595769121605731e-1),
+    (3, 40.0, 0.0, 1.1713473793788255e-346, 7.3163427335799002e-350),
+    (3, 40.0, 0.5, 5.5140982996861153e-89, 1.3649627047184804e-91),
+    (3, 40.0, 0.9, 3.5388748104366737e-5, 1.7435834526487845e-6),
+    (3, 40.0, 1.0, 5.0997355701003582e-1, 2.5997355701003582e-1),
+    (4, 0.5, 0.0, 9.9280901540766983e-1, 1.1849521164024788),
+    (4, 0.5, 0.5, 9.9302127451492894e-1, 1.2088794031494274),
+    (4, 0.5, 0.9, 9.9347428584891211e-1, 1.2626128500607503),
+    (4, 0.5, 1.0, 9.9362120976722793e-1, 1.28088601053561),
+    (4, 3.0, 0.0, 6.1099480960332686e-2, 6.9913764936973389e-3),
+    (4, 3.0, 0.5, 2.1483131691835972e-1, 4.7953430486450666e-2),
+    (4, 3.0, 0.9, 5.9371883134223728e-1, 3.1352392546751789e-1),
+    (4, 3.0, 1.0, 6.9470474622675271e-1, 4.6462985364394108e-1),
+    (4, 11.25, 0.0, 2.1153714101107796e-26, 1.6835154272703426e-28),
+    (4, 11.25, 0.5, 2.6669284244952639e-8, 7.6436389596747381e-10),
+    (4, 11.25, 0.9, 1.6247862107626136e-1, 3.8534801313062684e-2),
+    (4, 11.25, 1.0, 5.5310456193530757e-1, 3.0455642964484304e-1),
+    (4, 25.0, 0.0, 6.0146720221105512e-134, 9.6386044117332741e-137),
+    (4, 25.0, 0.5, 1.0594709335193049e-35, 6.6345233763481083e-38),
+    (4, 25.0, 0.9, 7.4096388303524646e-3, 7.3771585784988871e-4),
+    (4, 25.0, 1.0, 5.2392855462304496e-1, 2.7422559418660484e-1),
+    (4, 40.0, 0.0, 2.9379675419263275e-345, 1.8373694971362985e-348),
+    (4, 40.0, 0.5, 7.7993108146100479e-89, 1.9330291966824189e-91),
+    (4, 40.0, 0.9, 3.7398780657323079e-5, 1.851760911708284e-6),
+    (4, 40.0, 1.0, 5.1495838723495232e-1, 2.650748313000407e-1),
+    (5, 0.5, 0.0, 9.9847918144663156e-1, 1.5611445238507146),
+    (5, 0.5, 0.5, 9.9852433947248525e-1, 1.5857605592901734),
+    (5, 0.5, 0.9, 9.986206885962367e-1, 1.6410065960631748),
+    (5, 0.5, 1.0, 9.9865192847887314e-1, 1.6597836681427281),
+    (5, 3.0, 0.0, 1.0906415794977236e-1, 1.4466724030883316e-2),
+    (5, 3.0, 0.5, 2.8748559812345683e-1, 7.150875234672957e-2),
+    (5, 3.0, 0.9, 6.6091654336446962e-1, 3.874908470822294e-1),
+    (5, 3.0, 1.0, 7.5118588146437425e-1, 5.5674143584370621e-1),
+    (5, 11.25, 0.0, 1.2759445466367122e-25, 1.0311258838860932e-27),
+    (5, 11.25, 0.5, 3.763073609539147e-8, 1.0936607124776316e-9),
+    (5, 11.25, 0.9, 1.7426768917749926e-1, 4.2524549819838627e-2),
+    (5, 11.25, 1.0, 5.706428821570098e-1, 3.2459349944096041e-1),
+    (5, 25.0, 0.0, 8.011174258053092e-133, 1.287891446986064e-135),
+    (5, 25.0, 0.5, 1.4976993757785231e-35, 9.407952361119814e-38),
+    (5, 25.0, 0.9, 7.8527571536615941e-3, 7.8989677539367665e-4),
+    (5, 25.0, 1.0, 5.3188985012616892e-1, 2.8268985012616892e-1),
+    (5, 40.0, 0.0, 6.2549998773705485e-344, 3.9166821320508851e-347),
+    (5, 40.0, 0.5, 1.1028145476393179e-88, 2.7366624661164168e-91),
+    (5, 40.0, 0.9, 3.9516442181777359e-5, 1.9663473924626917e-6),
+    (5, 40.0, 1.0, 5.1994088054694036e-1, 2.7025338054694036e-1),
+    (8, 0.5, 0.0, 9.999907935862554e-1, 2.7541876359099218),
+    (8, 0.5, 0.5, 9.9999106989371396e-1, 2.7800912460612474),
+    (8, 0.5, 0.9, 9.9999165910561576e-1, 2.8381753913807056),
+    (8, 0.5, 1.0, 9.9999185005299532e-1, 2.8579011855111017),
+    (8, 3.0, 0.0, 3.4229595583459107e-1, 7.222098805849483e-2),
+    (8, 3.0, 0.5, 5.394466656127772e-1, 1.9398505984424763e-1),
+    (8, 3.0, 0.9, 8.2702210168932171e-1, 6.7346465037789614e-1),
+    (8, 3.0, 1.0, 8.8120045567892322e-1, 8.9578509796210134e-1),
+    (8, 11.25, 0.0, 1.4578823210195711e-23, 1.2343481568299001e-25),
+    (8, 11.25, 0.5, 1.0329225931078266e-7, 3.133662986627861e-9),
+    (8, 11.25, 0.9, 2.1278728388690891e-1, 5.6647772105660023e-2),
+    (8, 11.25, 1.0, 6.2229455354331029e-1, 3.9059344622398274e-1),
+    (8, 25.0, 0.0, 9.8525596955375738e-130, 1.5991447972907933e-132),
+    (8, 25.0, 0.5, 4.2107229164763465e-35, 2.6699395984828023e-37),
+    (8, 25.0, 0.9, 9.3249527270994701e-3, 9.6756096414159397e-4),
+    (8, 25.0, 1.0, 5.5568469505333687e-1, 3.0928787758748363e-1),
+    (8, 40.0, 0.0, 3.1416862235097476e-340, 1.9746056814288168e-343),
+    (8, 40.0, 0.5, 3.1119203667977083e-88, 7.7510560985846127e-91),
+    (8, 40.0, 0.9, 4.6570199880162627e-5, 2.3522613233722496e-6),
+    (8, 40.0, 1.0, 5.3486657399918611e-1, 2.8625973934427215e-1),
+    (16, 0.5, 0.0, 9.9999999999867707e-1, 6.1559871890563358),
+    (16, 0.5, 0.5, 9.9999999999871721e-1, 6.1833947940087862),
+    (16, 0.5, 0.9, 9.9999999999880277e-1, 6.2448118976631915),
+    (16, 0.5, 1.0, 9.9999999999883049e-1, 6.2656573578849835),
+    (16, 3.0, 0.0, 9.1341352835264398e-1, 6.7997720690813593e-1),
+    (16, 3.0, 0.5, 9.5310451900737918e-1, 1.0019766301306974),
+    (16, 3.0, 0.9, 9.8893344516367741e-1, 1.8703134279301187),
+    (16, 3.0, 1.0, 9.9334467039463659e-1, 2.2037207784832757),
+    (16, 11.25, 0.0, 2.9770474395402881e-19, 2.868684624322417e-21),
+    (16, 11.25, 0.5, 1.2879919044206545e-6, 4.419917906796647e-8),
+    (16, 11.25, 0.9, 3.3655027618361617e-1, 1.1436345355184385e-1),
+    (16, 11.25, 1.0, 7.4775756492138855e-1, 6.1351263242014083e-1),
+    (16, 25.0, 0.0, 1.1331840985339505e-122, 1.887198045812438e-125),
+    (16, 25.0, 0.5, 6.4017109839690725e-34, 4.1638160224769042e-36),
+    (16, 25.0, 0.9, 1.4486797980707993e-2, 1.636143730341481e-3),
+    (16, 25.0, 1.0, 6.1794127356712773e-1, 3.8952302685477026e-1),
+    (16, 40.0, 0.0, 1.5396635468731162e-331, 9.774526634278476e-335),
+    (16, 40.0, 0.5, 4.8805731463657734e-87, 1.2278224339325313e-89),
+    (16, 40.0, 0.9, 7.1641616513245392e-5, 3.7677997678507567e-6),
+    (16, 40.0, 1.0, 5.7437327971519765e-1, 3.3251860278791469e-1),
+]
+
+
+class TestClosedFormNcx2:
+    def test_against_mpmath(self):
+        by_channel = {}
+        for n, A, frac, q, g in NCX2_REFERENCE:
+            by_channel.setdefault((n, A), []).append((frac * A, q, g))
+        assert len(by_channel) == 35
+        for (n, A), rows in by_channel.items():
+            xs, q_ref, g_ref = (np.array(c) for c in zip(*rows))
+            Q, G = radial.radial_pair_ncx2(n, xs, A)
+            assert np.all(np.abs(Q - q_ref) <= 1e-12), (n, A)
+            assert np.all(np.abs(G - g_ref) <= 1e-10), (n, A)
+            tail = q_ref >= 1e-250
+            rel = np.abs(Q - q_ref)[tail] / q_ref[tail]
+            assert np.all(rel <= 1e-9), (n, A, rel)
+
+    def test_n1_matches_gaussian_closed_forms(self):
+        for A in (0.1, 1.0, 3.0, 8.0, 20.0, 40.0):
+            xs = np.linspace(0.0, A, 33)
+            Q, G = radial.radial_pair_ncx2(1, xs, A)
+            q = specfun.q_func(A - xs) + specfun.q_func(A + xs)
+            g = 0.5 * q + 0.5 * (radial.g_edge(A - xs) + radial.g_edge(A + xs))
+            assert np.max(np.abs(Q - q)) <= 1e-12
+            assert np.max(np.abs(G - g)) <= 1e-12
+            tail = q >= 1e-250
+            assert np.max(np.abs(Q - q)[tail] / q[tail]) <= 1e-9
+
+    def test_narrow_window_is_widened(self, monkeypatch):
+        n, A = 3, 25.0
+        xs = np.linspace(0.0, A, 129)
+        Q0, G0 = radial.radial_pair_ncx2(n, xs, A)
+        calls = []
+        sums = radial._ncx2_sums
+
+        def counted(*args):
+            out = sums(*args)
+            calls.append(out[2])
+            return out
+
+        monkeypatch.setattr(radial, "_WINDOW_SIGMAS", 0.25)
+        monkeypatch.setattr(radial, "_ncx2_sums", counted)
+        Q1, G1 = radial.radial_pair_ncx2(n, xs, A)
+        assert calls[0] and not calls[-1]  # clipped first, accepted last
+        np.testing.assert_allclose(Q1, Q0, rtol=1e-13, atol=1e-300)
+        np.testing.assert_allclose(G1, G0, rtol=1e-12, atol=1e-300)
+
+    def test_high_dimension_and_amplitude(self):
+        # n = 64 at 30 dB: the Poisson index reaches about 40,000
+        A = math.sqrt(64 * 1000.0)
+        xs = np.linspace(0.0, A, 513)
+        Q, G = radial.radial_pair_ncx2(64, xs, A)
+        assert np.all(np.isfinite(Q)) and np.all(np.isfinite(G))
+        assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
+        assert np.all(np.diff(Q) >= -1e-12) and np.all(np.diff(G) >= -1e-9)
+
+    def test_grid_and_scalar_route_agree(self):
+        rf = RadialFunctions(4, 6.0)
+        xs = np.linspace(0.0, 6.0, 17)
+        Q, G = rf.grid(xs)
+        for x, q, g in zip(xs, Q, G):
+            assert rf.grid_pair(x) == pytest.approx((q, g), rel=1e-14,
+                                                    abs=1e-300)
 
 
 class TestQuadratureSpec:

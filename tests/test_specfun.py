@@ -163,6 +163,15 @@ class TestAngularKernel:
                 assert specfun.tilde_i_n_scaled(n, float(x)) == pytest.approx(
                     ref, rel=1e-11)
 
+    def test_scaled_matches_bessel_ratio_on_log_grid(self):
+        # the same identity, x^{1-n/2} ive(n/2 - 1, x), over both routes
+        # (series up to x = 30, quadrature above) on a dense grid
+        xs = np.geomspace(1e-3, 3000.0, 400)
+        for n in range(2, 7):
+            ref = xs ** (1.0 - 0.5 * n) * special.ive(0.5 * n - 1.0, xs)
+            mine = specfun.tilde_i_n_scaled(n, xs)
+            assert np.max(np.abs(mine - ref) / ref) <= 1e-12, n
+
     def test_frozen_values(self):
         # mpmath: besseli((n-2)/2, x) / x^{(n-2)/2}
         assert specfun.tilde_i_n(3, 1.0) == pytest.approx(

@@ -288,6 +288,34 @@ class TestMinmax:
         assert det.verified_nats == pytest.approx(det.conjectured_nats,
                                                   abs=1e-9)
 
+    def test_verified_over_wide_domain(self):
+        # the verified route reads only closed-form radial values, so it
+        # answers where the conjectured route overflows or fails
+        for n in (2, 3, 5, 8, 12, 16, 32):
+            for snr_db in (-30.0, -10.0, 10.0, 30.0):
+                P = 10.0 ** (snr_db / 10.0)
+                A = math.sqrt(n * P)
+                ver = minmax_dual(n, A, conjecture=False).rate_bits
+                assert math.isfinite(ver), (n, snr_db)
+                assert ver >= lower_bounds.volume_lower_bound(n, P) - 1e-9
+                try:
+                    conj = minmax_dual(n, A, conjecture=True).rate_bits
+                except (OverflowError, ZeroDivisionError, ValueError,
+                        radial.QuadratureError):
+                    continue
+                assert abs(ver - conj) * LN2 <= 1e-7, (n, snr_db)
+
+    def test_verified_route_never_reads_beta_star(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OverflowError("beta_star must not be called")
+
+        monkeypatch.setattr(upper_bounds, "beta_star", fail)
+        monkeypatch.setattr(upper_bounds, "_beta_star", fail)
+        pt = minmax_dual(3, math.sqrt(3 * 10.0 ** -3), conjecture=False)
+        assert pt.bound_id == "minmax_verified" and pt.rate_bits > 0.0
+        with pytest.raises(OverflowError):
+            minmax_dual(3, 2.0, conjecture=True)
+
     def test_bound_point_fields(self):
         pt = minmax_dual(2, 2.0, conjecture=True)
         assert pt.bound_id == "minmax_conjectured"
