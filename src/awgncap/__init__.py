@@ -7,16 +7,16 @@ entropy-power inequality.  Rates are bits per n-dimensional channel use
 with SNR P = A^2/n at unit noise variance per dimension.
 """
 
-from .specfun import (SeriesControl, bessel_i0_scaled, binary_entropy_nats,
+from .specfun import (bessel_i0_scaled, binary_entropy_nats,
                       double_factorial, gamma_half, gauss_pdf, marcum_q1,
                       q_func, tilde_i_n, tilde_i_n_scaled)
 from .radial import (QuadratureError, QuadratureSpec, RadialFunctions,
                      g_n, g_tilde_n, k_n_closed, k_n_numeric, q_n, vol_ball)
 from .upper_bounds import (BoundPoint, ChannelConfig, MinmaxDetail,
-                           TestDensityParams, amplitude_threshold, beta_star,
-                           d1, d_n, envelope, mckellips_1d, mckellips_nd,
-                           minmax_dual, minmax_dual_detail, refined_1d,
-                           refined_nd)
+                           TestDensityParams, amplitude_threshold, avg_power,
+                           beta_star, d1, d_n, envelope, mckellips_1d,
+                           mckellips_nd, minmax_dual, minmax_dual_detail,
+                           refined_1d, refined_nd)
 from .lower_bounds import (AnalyticalBound, Constellation,
                            ConstellationMoments, MiEstimate,
                            a_n_constellation, analytical_lower_bound,

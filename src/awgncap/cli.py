@@ -11,68 +11,76 @@ import argparse
 import csv
 import math
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import lower_bounds, upper_bounds, verify
+from .radial import ChannelConfig
 
-#: bound id -> (minimum set of dims it supports, or None for all n >= 1)
-BOUND_DIMS: dict[str, tuple[int, ...] | None] = {
-    "avg_power": None,
-    "mckellips": None,
-    "refined": None,
-    "minmax_conjectured": None,
-    "minmax_verified": None,
-    "envelope": None,
-    "volume_lower": None,
-    "pam_lower": (1,),
-    "ring_lower": (2,),
+
+@dataclass(frozen=True)
+class Bound:
+    """One bound id: upper or lower, its dimensions, and its evaluator."""
+
+    kind: str                          # "upper" or "lower"
+    dims: tuple[int, ...] | None       # None: every n >= 1
+    evaluate: Callable[[int, float], upper_bounds.BoundPoint]
+
+
+def _rate(bound_id: str, rate_bits) -> Callable:
+    """Evaluator that wraps a rate function (n, P) -> bits in a BoundPoint."""
+    def evaluate(n, P):
+        return upper_bounds.BoundPoint(10.0 * math.log10(P), rate_bits(n, P),
+                                       bound_id, True)
+    return evaluate
+
+
+def _ring_bits(n, P):
+    c = lower_bounds.ring_constellation(math.sqrt(n * P))
+    return lower_bounds.constellation_mi(c, refine_check=False).bits
+
+
+# The evaluators look the library functions up when they run, so wrappers
+# installed on the modules later (e.g. by a tracer) see every call.
+BOUNDS: dict[str, Bound] = {
+    "avg_power": Bound("upper", None, _rate(
+        "avg_power", lambda n, P: upper_bounds.avg_power(n, P))),
+    "mckellips": Bound("upper", None, _rate(
+        "mckellips", lambda n, P: upper_bounds.mckellips_nd(n, P))),
+    "refined": Bound("upper", None, lambda n, P: (
+        upper_bounds.refined_1d(P) if n == 1
+        else upper_bounds.refined_nd(n, P))),
+    "minmax_conjectured": Bound("upper", None, lambda n, P: (
+        upper_bounds.minmax_dual(n, math.sqrt(n * P), conjecture=True))),
+    "minmax_verified": Bound("upper", None, lambda n, P: (
+        upper_bounds.minmax_dual(n, math.sqrt(n * P), conjecture=False))),
+    "envelope": Bound("upper", None,
+                      lambda n, P: upper_bounds.envelope(n, P)),
+    "volume_lower": Bound("lower", None, _rate(
+        "volume_lower", lambda n, P: lower_bounds.volume_lower_bound(n, P))),
+    "pam_lower": Bound("lower", (1,), _rate(
+        "pam_lower", lambda n, P: lower_bounds.pam_lower_bound_1d(P))),
+    "ring_lower": Bound("lower", (2,), _rate("ring_lower", _ring_bits)),
 }
-
-_LOWER_IDS = {"volume_lower", "pam_lower", "ring_lower"}
 
 
 def available_bounds(n: int) -> list[str]:
-    return [b for b, dims in BOUND_DIMS.items() if dims is None or n in dims]
+    return [b for b, bound in BOUNDS.items()
+            if bound.dims is None or n in bound.dims]
+
+
+def _lookup(bound_id: str, n: int) -> Bound:
+    if bound_id not in available_bounds(n):
+        raise ValueError(f"bound {bound_id!r} unavailable for dim {n}; "
+                         f"available: {available_bounds(n)}")
+    return BOUNDS[bound_id]
 
 
 def compute_bound(bound_id: str, n: int, P: float) -> upper_bounds.BoundPoint:
     """Evaluate one bound id at linear SNR P for dimension n."""
-    snr_db = 10.0 * math.log10(P)
-    A = math.sqrt(n * P)
-    if bound_id == "avg_power":
-        rate = 0.5 * n * math.log1p(P) / math.log(2.0)
-        return upper_bounds.BoundPoint(snr_db, rate, "avg_power", True)
-    if bound_id == "mckellips":
-        rate = (upper_bounds.mckellips_1d(P) if n == 1
-                else upper_bounds.mckellips_nd(n, P))
-        return upper_bounds.BoundPoint(snr_db, rate, "mckellips", True)
-    if bound_id == "refined":
-        pt = (upper_bounds.refined_1d(P) if n == 1
-              else upper_bounds.refined_nd(n, P))
-        return pt
-    if bound_id == "minmax_conjectured":
-        return upper_bounds.minmax_dual(n, A, conjecture=True)
-    if bound_id == "minmax_verified":
-        return upper_bounds.minmax_dual(n, A, conjecture=False)
-    if bound_id == "envelope":
-        return upper_bounds.envelope(n, P)
-    if bound_id == "volume_lower":
-        return upper_bounds.BoundPoint(
-            snr_db, lower_bounds.volume_lower_bound(n, P), "volume_lower", True)
-    if bound_id == "pam_lower":
-        if n != 1:
-            raise ValueError("pam_lower is defined for dimension 1 only")
-        return upper_bounds.BoundPoint(
-            snr_db, lower_bounds.pam_lower_bound_1d(P), "pam_lower", True)
-    if bound_id == "ring_lower":
-        if n != 2:
-            raise ValueError("ring_lower is defined for dimension 2 only")
-        mi = lower_bounds.constellation_mi(
-            lower_bounds.ring_constellation(A), refine_check=False)
-        return upper_bounds.BoundPoint(snr_db, mi.bits, "ring_lower", True)
-    raise ValueError(
-        f"unknown bound id {bound_id!r}; available: {available_bounds(n)}")
+    ChannelConfig.from_snr(n, P)
+    return _lookup(bound_id, n).evaluate(n, P)
 
 
 def _point_rows(args):
@@ -104,17 +112,19 @@ class SweepRequest:
     per_dimension: bool = False
 
     def __post_init__(self):
+        # the amplitude grows with the SNR: checking both ends checks all
+        for snr_db in (self.snr_db_min, self.snr_db_max):
+            ChannelConfig.from_snr_db(self.n, snr_db)
         if self.snr_db_min > self.snr_db_max:
             raise ValueError("snr-db-min must not exceed snr-db-max")
-        if self.snr_db_step <= 0:
-            raise ValueError("step must be positive")
+        if not self.snr_db_step > 0:
+            raise ValueError(f"step must be positive, got {self.snr_db_step}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if not self.bounds:
             raise ValueError("at least one bound id is required")
         for b in self.bounds:
-            if b not in available_bounds(self.n):
-                raise ValueError(
-                    f"bound {b!r} unavailable for dim {self.n}; available: "
-                    f"{available_bounds(self.n)}")
+            _lookup(b, self.n)
 
     def grid(self) -> list[float]:
         count = int(math.floor(
@@ -205,10 +215,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     if args.list_bounds:
-        for bound_id, dims in BOUND_DIMS.items():
-            where = "any n" if dims is None else ", ".join(f"n={d}" for d in dims)
-            kind = "lower" if bound_id in _LOWER_IDS else "upper"
-            print(f"{bound_id:20s} {kind:5s} [{where}]")
+        for bound_id, bound in BOUNDS.items():
+            where = ("any n" if bound.dims is None
+                     else ", ".join(f"n={d}" for d in bound.dims))
+            print(f"{bound_id:20s} {bound.kind:5s} [{where}]")
         return 0
 
     if args.command is None:
@@ -225,10 +235,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.snr_db is None and args.amplitude is None:
                 print("point requires --snr-db or --amplitude", file=sys.stderr)
                 return 2
-            n = args.dim
-            snr_db = (args.snr_db if args.snr_db is not None
-                      else 10.0 * math.log10(args.amplitude ** 2 / n))
-            rows = _point_rows((n, snr_db, _parse_bounds(args.bounds),
+            if args.snr_db is None:
+                snr_db = ChannelConfig(args.dim, args.amplitude).snr_db
+            else:
+                snr_db = args.snr_db
+                ChannelConfig.from_snr_db(args.dim, snr_db)
+            rows = _point_rows((args.dim, snr_db, _parse_bounds(args.bounds),
                                 args.per_dimension))
             print("snr_db,bound_id,rate_bits,valid,achiever")
             for snr, bound_id, rate, valid, achiever in rows:

@@ -19,6 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import radial
+from .radial import ChannelConfig
 from .specfun import LN2
 
 __all__ = [
@@ -101,8 +102,7 @@ def ring_constellation(A: float) -> Constellation:
     would sit inside the packing distance of the outer ring and measurably
     weakens the constellation at low SNR.
     """
-    if not A > 0:
-        raise ValueError(f"amplitude must be positive, got {A}")
+    ChannelConfig(2, A)
     pts: list[tuple[float, float]] = []
     if A >= 2.0:
         pts.append((0.0, 0.0))
@@ -326,8 +326,7 @@ def _entropy_quad_2d(points, logw, panel, arc):
     return float(-(W * np.exp(lp) * lp).sum())
 
 
-def constellation_mi(c: Constellation, dim: int | None = None,
-                     refine_check: bool = True) -> MiEstimate:
+def constellation_mi(c: Constellation, refine_check: bool = True) -> MiEstimate:
     """Mutual information of a constellation over the unit-noise channel, bits.
 
     Deterministic quadrature of h(Y), then I = h(Y) - (dim/2) log(2 pi e).
@@ -344,11 +343,8 @@ def constellation_mi(c: Constellation, dim: int | None = None,
     disagreement with a rule finer in every direction (panels 0.5, arc
     spacing 0.25), skipped when refine_check=False.
     """
-    dim = dim if dim is not None else c.dim
-    if dim != c.dim:
-        raise ValueError(f"constellation is {c.dim}-D, requested dim={dim}")
     points, logw = _support(c)
-    if dim == 1:
+    if c.dim == 1:
         h = _entropy_quad_1d(points, logw, _PANEL)
         fine = _entropy_quad_1d(points, logw, _PANEL_FINE) \
             if refine_check else h
@@ -356,7 +352,7 @@ def constellation_mi(c: Constellation, dim: int | None = None,
         h = _entropy_quad_2d(points, logw, _PANEL, _ARC)
         fine = _entropy_quad_2d(points, logw, _PANEL_FINE, _ARC_FINE) \
             if refine_check else h
-    nats = h - 0.5 * dim * LN_2PIE
+    nats = h - 0.5 * c.dim * LN_2PIE
     return MiEstimate(bits=max(nats, 0.0) / LN2, err_bits=abs(fine - h) / LN2,
                       method="quadrature")
 
@@ -382,9 +378,7 @@ def pam_lower_bound_1d(P: float, return_detail: bool = False):
     spaced including the endpoints.  This stands in for an optimized input
     distribution and stays within 0.1 bits of the upper-bound envelope.
     """
-    if not P > 0:
-        raise ValueError(f"snr must be positive, got {P}")
-    A = math.sqrt(P)
+    A = ChannelConfig.from_snr(1, P).A
     m_max = int(math.ceil(2.0 + 2.0 * A)) + 4
     best, best_m = 0.0, 1
     for m in range(2, m_max + 1):
@@ -397,10 +391,6 @@ def pam_lower_bound_1d(P: float, return_detail: bool = False):
 
 def volume_lower_bound(n: int, P: float) -> float:
     """Entropy-power-inequality bound (n/2) log2(1 + Vol(A)^{2/n}/(2 pi e))."""
-    if not P > 0:
-        raise ValueError(f"snr must be positive, got {P}")
-    if n < 1 or n != int(n):
-        raise ValueError(f"dimension must be an integer >= 1, got {n}")
-    A = math.sqrt(n * P)
+    A = ChannelConfig.from_snr(n, P).A
     v_pow = math.exp(2.0 / n * radial.log_vol_ball(n, A))
     return 0.5 * n * math.log1p(v_pow / (2.0 * math.pi * math.e)) / LN2

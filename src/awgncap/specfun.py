@@ -9,8 +9,6 @@ exponentially scaled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import integrate, special
 
@@ -20,23 +18,10 @@ LN2 = math.log(2.0)
 
 #: x above which the angular kernel switches from power series to quadrature.
 SERIES_CUTOFF = 30.0
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the angular-kernel power series."""
-
-    max_terms: int = 500
-    rel_tol: float = 1e-16
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-
-
-DEFAULT_SERIES = SeriesControl()
+# truncation of the angular-kernel power series: the sum stops once every
+# term is below _SERIES_REL_TOL of its partial sum
+_SERIES_MAX_TERMS = 500
+_SERIES_REL_TOL = 1e-16
 
 
 def gauss_pdf(x):
@@ -141,7 +126,7 @@ def tilde_i_zero(n: int) -> float:
     return 2.0 ** (1.0 - 0.5 * n) / gamma_half(n / 2.0)
 
 
-def _tilde_series_scaled(n: int, x: np.ndarray, control: SeriesControl) -> np.ndarray:
+def _tilde_series_scaled(n: int, x: np.ndarray) -> np.ndarray:
     """e^{-x} tilde_I_n(x) by the even power series, for x <= SERIES_CUTOFF.
 
     Terms follow the recurrence t_{k+1} = t_k x^2 / ((n+2k)(2k+2)), which is
@@ -151,14 +136,14 @@ def _tilde_series_scaled(n: int, x: np.ndarray, control: SeriesControl) -> np.nd
     x2 = np.square(x)
     term = np.ones_like(x)
     total = np.ones_like(x)
-    for k in range(control.max_terms):
+    for k in range(_SERIES_MAX_TERMS):
         term = term * x2 / ((n + 2.0 * k) * (2.0 * k + 2.0))
         total += term
-        if np.all(term <= control.rel_tol * total):
+        if np.all(term <= _SERIES_REL_TOL * total):
             break
     else:
         raise RuntimeError(
-            f"angular kernel series did not converge in {control.max_terms} terms "
+            f"angular kernel series did not converge in {_SERIES_MAX_TERMS} terms "
             f"(n={n}, max x={float(np.max(x)):.3g})")
     return tilde_i_zero(n) * total * np.exp(-x)
 
@@ -184,7 +169,7 @@ def _tilde_quad_scaled(n: int, x: np.ndarray) -> np.ndarray:
     return cn * vals / sq
 
 
-def tilde_i_n_scaled(n: int, x, control: SeriesControl | None = None):
+def tilde_i_n_scaled(n: int, x):
     """Exponentially scaled angular kernel e^{-x} tilde_I_n(x), n >= 2, x >= 0.
 
     tilde_I_n generalizes I_0 to n dimensions:
@@ -198,7 +183,6 @@ def tilde_i_n_scaled(n: int, x, control: SeriesControl | None = None):
     """
     if n < 2 or n != int(n):
         raise ValueError(f"tilde_i_n requires integer n >= 2, got {n}")
-    control = control or DEFAULT_SERIES
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0):
         raise ValueError("tilde_i_n requires x >= 0")
@@ -207,15 +191,15 @@ def tilde_i_n_scaled(n: int, x, control: SeriesControl | None = None):
     out = np.empty_like(arr)
     small = arr <= SERIES_CUTOFF
     if np.any(small):
-        out[small] = _tilde_series_scaled(int(n), arr[small], control)
+        out[small] = _tilde_series_scaled(int(n), arr[small])
     if np.any(~small):
         out[~small] = _tilde_quad_scaled(int(n), arr[~small])
     return float(out[0]) if scalar else out
 
 
-def tilde_i_n(n: int, x, control: SeriesControl | None = None):
+def tilde_i_n(n: int, x):
     """Unscaled angular kernel tilde_I_n(x); overflows to inf for x >~ 700."""
     arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        out = tilde_i_n_scaled(n, arr, control) * np.exp(arr)
+        out = tilde_i_n_scaled(n, arr) * np.exp(arr)
     return float(out) if np.ndim(out) == 0 else out

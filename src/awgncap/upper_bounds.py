@@ -29,48 +29,18 @@ import numpy as np
 from scipy import optimize, special
 
 from . import radial
-from .radial import DEFAULT_QUAD, QuadratureSpec, RadialFunctions
+from .radial import ChannelConfig, RadialFunctions
 from .specfun import LN2, binary_entropy_nats, q_func
 
 __all__ = [
     "ChannelConfig", "TestDensityParams", "BoundPoint", "MinmaxDetail",
-    "d1", "mckellips_1d", "refined_1d", "d_n", "mckellips_nd", "refined_nd",
-    "beta_star", "amplitude_threshold", "minmax_dual", "minmax_dual_detail",
-    "envelope", "UPPER_BOUND_IDS",
+    "avg_power", "d1", "mckellips_1d", "refined_1d", "d_n", "mckellips_nd",
+    "refined_nd", "beta_star", "amplitude_threshold", "minmax_dual",
+    "minmax_dual_detail", "envelope",
 ]
 
 LN_2PI = math.log(2.0 * math.pi)
 LN_2PIE = math.log(2.0 * math.pi * math.e)
-
-UPPER_BOUND_IDS = ("avg_power", "mckellips", "refined",
-                   "minmax_conjectured", "minmax_verified")
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Problem instance: dimension n and amplitude limit A in noise-std units."""
-
-    n: int
-    A: float
-
-    def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError(f"dimension must be an integer >= 1, got {self.n}")
-        if not self.A > 0:
-            raise ValueError(f"amplitude must be positive, got {self.A}")
-
-    @property
-    def snr(self) -> float:
-        """Linear SNR P = A^2 / n (unit noise variance per dimension)."""
-        return self.A ** 2 / self.n
-
-    @property
-    def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr)
-
-    @classmethod
-    def from_snr_db(cls, n: int, snr_db: float) -> "ChannelConfig":
-        return cls(n=n, A=math.sqrt(n * 10.0 ** (snr_db / 10.0)))
 
 
 @dataclass(frozen=True)
@@ -113,6 +83,12 @@ def _beta_value(beta) -> float:
     return b
 
 
+def avg_power(n: int, P: float) -> float:
+    """Average-power capacity (n/2) log2(1 + P), an upper bound at any A."""
+    ChannelConfig.from_snr(n, P)
+    return 0.5 * n * math.log1p(P) / LN2
+
+
 # ---------------------------------------------------------------------------
 # scalar (n = 1) channel
 # ---------------------------------------------------------------------------
@@ -127,8 +103,7 @@ def d1(beta, x: float, A: float) -> float:
     Symmetry of the channel permits restricting to x in [0, A].
     """
     b = _beta_value(beta)
-    if not A > 0:
-        raise ValueError(f"amplitude must be positive, got {A}")
+    ChannelConfig(1, A)
     if x < 0 or x > A:
         raise ValueError(f"x must lie in [0, A] = [0, {A}], got {x}")
     qq = float(q_func(A - x) + q_func(A + x))
@@ -139,11 +114,12 @@ def d1(beta, x: float, A: float) -> float:
 
 
 def mckellips_1d(P: float) -> float:
-    """McKellips' scalar bound min{log2(1 + sqrt(2P/(pi e))), (1/2)log2(1+P)}."""
-    if not P > 0:
-        raise ValueError(f"snr must be positive, got {P}")
+    """McKellips' scalar bound min{log2(1 + sqrt(2P/(pi e))), (1/2)log2(1+P)}.
+
+    The paper's closed form; mckellips_nd(1, P) agrees to rounding.
+    """
+    avg = avg_power(1, P)
     peak = math.log1p(math.sqrt(2.0 * P / (math.pi * math.e))) / LN2
-    avg = 0.5 * math.log1p(P) / LN2
     return min(peak, avg)
 
 
@@ -165,9 +141,7 @@ def refined_1d(P: float) -> BoundPoint:
     beta keeps the x-dependent divergence term nonincreasing, i.e. for
     A <= 2.0662 (about 6.303 dB); beyond that the point is flagged invalid.
     """
-    if not P > 0:
-        raise ValueError(f"snr must be positive, got {P}")
-    A = math.sqrt(P)
+    A = ChannelConfig.from_snr(1, P).A
     beta = 0.5 - float(q_func(2.0 * A))
     nats = beta * math.log(math.sqrt(2.0 * P / (math.pi * math.e)))
     nats += binary_entropy_nats(beta)
@@ -204,16 +178,11 @@ def d_n(n: int, beta, x: float, A: float,
 
 def mckellips_nd(n: int, P: float) -> float:
     """McKellips-type bound min{log2(k_n(A) + Vol(A)/(2 pi e)^{n/2}), (n/2)log2(1+P)}."""
-    if not P > 0:
-        raise ValueError(f"snr must be positive, got {P}")
-    if n < 1 or n != int(n):
-        raise ValueError(f"dimension must be an integer >= 1, got {n}")
-    A = math.sqrt(n * P)
+    A = ChannelConfig.from_snr(n, P).A
     lv = radial.log_vol_ball(n, A)
     shell = radial.k_n_closed(n, A) + math.exp(lv - 0.5 * n * LN_2PIE)
     peak = math.log(shell) / LN2
-    avg = 0.5 * n * math.log1p(P) / LN2
-    return min(peak, avg)
+    return min(peak, avg_power(n, P))
 
 
 @lru_cache(maxsize=None)
@@ -246,8 +215,7 @@ def amplitude_threshold(n: int) -> float:
     return float(optimize.bisect(gap, lo, hi, xtol=1e-9))
 
 
-def refined_nd(n: int, P: float,
-               spec: QuadratureSpec = DEFAULT_QUAD) -> BoundPoint:
+def refined_nd(n: int, P: float) -> BoundPoint:
     """Refined bound for dimension n, optimizing beta against x = A.
 
     With beta_n(P) = 1 - Q_n(A, A), A = sqrt(nP):
@@ -255,11 +223,12 @@ def refined_nd(n: int, P: float,
         C <= (1 - beta_n) log k_n(A) + beta_n log(Vol(A)/(2 pi e)^{n/2})
              + H_e(beta_n) - gtilde_n(A, A)    [nats],
 
-    provable for A < A*_n (valid flag).
+    provable for A < A*_n (valid flag).  At n = 1 this is not refined_1d:
+    that bound, the paper's scalar one, is larger by gtilde_1(A, A) and has
+    its own threshold.
     """
-    if not P > 0:
-        raise ValueError(f"snr must be positive, got {P}")
-    return _refined_point(n, P, RadialFunctions(n, math.sqrt(n * P), spec))
+    A = ChannelConfig.from_snr(n, P).A
+    return _refined_point(n, P, RadialFunctions(n, A))
 
 
 def _refined_point(n: int, P: float, rf: RadialFunctions) -> BoundPoint:
@@ -275,7 +244,7 @@ def _refined_point(n: int, P: float, rf: RadialFunctions) -> BoundPoint:
                       bound_id="refined", valid=A < amplitude_threshold(n))
 
 
-def beta_star(n: int, A: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
+def beta_star(n: int, A: float) -> float:
     """The beta equalizing the divergence at the two endpoint inputs x=0, x=A.
 
     With c_n(A) = (g_n(A,A) - g_n(0,A)) / (Q_n(0,A) - Q_n(A,A)),
@@ -285,7 +254,7 @@ def beta_star(n: int, A: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
     which solves D_n(beta, 0) = D_n(beta, A) exactly.  c_n(A) -> -1/2 as
     A -> inf, so beta* approaches the McKellips-type mixing weight.
     """
-    return _beta_star(n, A, RadialFunctions(n, A, spec))
+    return _beta_star(n, A, RadialFunctions(n, A))
 
 
 def _beta_star(n: int, A: float, rf: RadialFunctions) -> float:
@@ -343,15 +312,14 @@ class MinmaxDetail:
     n: int
     A: float
     conjectured_nats: float
-    verified_nats: float | None
+    verified_nats: float
     beta_conjectured: float
-    beta_verified: float | None
-    interior_excess: float | None
+    beta_verified: float
+    interior_excess: float
 
     @property
     def conjecture_violated(self) -> bool:
-        return (self.interior_excess is not None
-                and self.interior_excess > 1e-7)
+        return self.interior_excess > 1e-7
 
 
 def _minmax_conjectured(n, A, rf) -> tuple[float, float]:
@@ -421,9 +389,7 @@ def _minmax_verified(n, A, rf) -> tuple[float, float, float]:
     return val_v, beta_v, refined_max - endpoint_max
 
 
-def minmax_dual_detail(n: int, A: float,
-                       spec: QuadratureSpec = DEFAULT_QUAD,
-                       verify: bool = True) -> MinmaxDetail:
+def minmax_dual_detail(n: int, A: float) -> MinmaxDetail:
     """Evaluate min_beta max_x D_n(beta, x) both ways.
 
     The conjectured route assumes the max over x sits at an endpoint and
@@ -432,27 +398,22 @@ def minmax_dual_detail(n: int, A: float,
     with local refinement, radial values in closed form) and records
     whether an interior x ever beat the endpoints at the optimum.
     """
-    rf = RadialFunctions(n, A, spec)
+    rf = RadialFunctions(n, A)
     conj_val, conj_beta = _minmax_conjectured(n, A, rf)
-    if not verify:
-        return MinmaxDetail(n=n, A=A, conjectured_nats=conj_val,
-                            verified_nats=None, beta_conjectured=conj_beta,
-                            beta_verified=None, interior_excess=None)
     val_v, beta_v, excess = _minmax_verified(n, A, rf)
     return MinmaxDetail(n=n, A=A, conjectured_nats=conj_val,
                         verified_nats=val_v, beta_conjectured=conj_beta,
                         beta_verified=beta_v, interior_excess=excess)
 
 
-def minmax_dual(n: int, A: float, conjecture: bool = True,
-                spec: QuadratureSpec = DEFAULT_QUAD) -> BoundPoint:
+def minmax_dual(n: int, A: float, conjecture: bool = True) -> BoundPoint:
     """Min-max dual bound as a BoundPoint (bits).
 
     conjecture=True uses the endpoint-candidate evaluation; conjecture=False
     runs the grid-verified optimization alone.  minmax_dual_detail exposes
     both values plus the interior-vs-endpoint excess for conjecture checking.
     """
-    return _minmax_point(n, A, conjecture, RadialFunctions(n, A, spec))
+    return _minmax_point(n, A, conjecture, RadialFunctions(n, A))
 
 
 def _minmax_point(n: int, A: float, conjecture: bool,
@@ -471,36 +432,23 @@ def _minmax_point(n: int, A: float, conjecture: bool,
                       bound_id=bound_id, valid=True)
 
 
-def envelope(n: int, P: float, conjecture: bool = True,
-             spec: QuadratureSpec = DEFAULT_QUAD,
-             include: tuple[str, ...] = UPPER_BOUND_IDS[:4]) -> BoundPoint:
+def envelope(n: int, P: float, conjecture: bool = True) -> BoundPoint:
     """Pointwise minimum of the upper bounds, recording the achiever.
 
-    Candidates: average-power capacity (n/2)log2(1+P), the McKellips(-type)
-    bound, the refined bound where provable, and the min-max dual bound.
-    Invalid candidates are excluded from the minimum.
+    Candidates, in this order: average-power capacity (n/2)log2(1+P), the
+    McKellips(-type) bound, the refined bound where provable, and the
+    min-max dual bound.  min keeps the first of equal rates, so the order
+    settles ties.
     """
-    if not P > 0:
-        raise ValueError(f"snr must be positive, got {P}")
-    A = math.sqrt(n * P)
-    snr_db = 10.0 * math.log10(P)
+    A = ChannelConfig.from_snr(n, P).A
     # refined and min-max read the same endpoint values
-    rf = RadialFunctions(n, A, spec)
-    cands: list[tuple[float, str]] = []
-    if "avg_power" in include:
-        cands.append((0.5 * n * math.log1p(P) / LN2, "avg_power"))
-    if "mckellips" in include:
-        cands.append((mckellips_1d(P) if n == 1 else mckellips_nd(n, P),
-                      "mckellips"))
-    if "refined" in include:
-        pt = refined_1d(P) if n == 1 else _refined_point(n, P, rf)
-        if pt.valid:
-            cands.append((pt.rate_bits, "refined"))
-    if any(b.startswith("minmax") for b in include):
-        mm_id = "minmax_conjectured" if conjecture else "minmax_verified"
-        cands.append((_minmax_point(n, A, conjecture, rf).rate_bits, mm_id))
-    if not cands:
-        raise ValueError("envelope needs at least one bound to minimize over")
+    rf = RadialFunctions(n, A)
+    cands = [(avg_power(n, P), "avg_power"), (mckellips_nd(n, P), "mckellips")]
+    pt = refined_1d(P) if n == 1 else _refined_point(n, P, rf)
+    if pt.valid:
+        cands.append((pt.rate_bits, "refined"))
+    mm = _minmax_point(n, A, conjecture, rf)
+    cands.append((mm.rate_bits, mm.bound_id))
     rate, achiever = min(cands, key=lambda t: t[0])
-    return BoundPoint(snr_db=snr_db, rate_bits=rate, bound_id="envelope",
-                      valid=True, achiever=achiever)
+    return BoundPoint(snr_db=10.0 * math.log10(P), rate_bits=rate,
+                      bound_id="envelope", valid=True, achiever=achiever)

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -121,11 +122,88 @@ class TestPoint:
         assert main([]) == 2
 
 
+_SWEEP = ["sweep", "--snr-db-min", "0", "--snr-db-max", "2", "--step", "1",
+          "--bounds", "avg_power"]
+
+
+class TestInvalidInput:
+    """Bad arguments exit 2 with a message naming them, and write no CSV."""
+
+    @pytest.mark.parametrize("argv, named", [
+        ("point --dim 0 --snr-db 10 --bounds avg_power", "dimension"),
+        ("point --dim -1 --snr-db 10 --bounds avg_power", "dimension"),
+        ("point --dim -1 --amplitude 2 --bounds avg_power", "dimension"),
+        ("point --dim 2 --amplitude 0 --bounds avg_power", "amplitude"),
+        ("point --dim 2 --amplitude -2 --bounds avg_power", "amplitude"),
+        ("point --dim 2 --amplitude inf --bounds avg_power", "amplitude"),
+        ("point --dim 2 --snr-db inf --bounds envelope", "snr"),
+        ("point --dim 2 --snr-db nan --bounds avg_power", "snr"),
+        ("point --dim 2 --snr-db 4000 --bounds avg_power", "snr"),
+        ("sweep --dim 0", "dimension"),
+        ("sweep --dim -1", "dimension"),
+        ("sweep --dim 2 --jobs 0", "jobs"),
+        ("sweep --dim 1 --snr-db-min=-inf", "snr"),
+        ("sweep --dim 1 --snr-db-max=inf", "snr"),
+        ("sweep --dim 1 --snr-db-min=nan", "snr"),
+    ])
+    def test_exit_two_naming_the_argument(self, argv, named, tmp_path,
+                                          capsys):
+        out = tmp_path / "x.csv"
+        argv = argv.split()
+        if argv[0] == "sweep":
+            argv = _SWEEP + argv[1:] + ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err.lower()
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_compute_bound_checks_the_channel_first(self):
+        with pytest.raises(ValueError, match="dimension"):
+            compute_bound("avg_power", 0, 10.0)
+        with pytest.raises(ValueError, match="SNR"):
+            compute_bound("envelope", 2, math.inf)
+
+
+_REFERENCE = (pathlib.Path(__file__).resolve().parents[1]
+              / "perfbench" / "reference")
+
+
+class TestReferenceSweeps:
+    """The README sweeps against the committed benchmark reference CSVs.
+
+    Rates agree to 1e-9 bits; the valid flags and the envelope's achiever
+    must be identical.  In 1-D above 18.5 dB mckellips and
+    minmax_conjectured agree to 12 digits, so the achiever column pins the
+    envelope's candidate order.
+    """
+
+    @pytest.mark.parametrize("name, n, lo, hi, lower", [
+        ("sweep2d", 2, -10.0, 20.0, "ring_lower"),
+        ("sweep1d", 1, -10.0, 30.0, "pam_lower"),
+    ])
+    def test_matches_reference(self, name, n, lo, hi, lower, tmp_path):
+        out = tmp_path / f"{name}.csv"
+        cli.run_sweep(n, lo, hi, 0.5,
+                      ["envelope", "mckellips", "refined",
+                       "minmax_conjectured", lower, "volume_lower"],
+                      str(out))
+        got = _read_csv(out)
+        ref = _read_csv(_REFERENCE / f"{name}.csv")
+        assert got[0] == ref[0]
+        assert len(got) == len(ref)
+        for g, r in zip(got[1:], ref[1:]):
+            assert g[:2] == r[:2]
+            assert float(g[2]) == pytest.approx(float(r[2]), abs=1e-9), r
+            assert g[3:] == r[3:], r
+
+
 class TestListBounds:
     def test_listing(self, capsys):
         assert main(["--list-bounds"]) == 0
         out = capsys.readouterr().out
-        for bound_id in cli.BOUND_DIMS:
+        for bound_id in cli.BOUNDS:
             assert bound_id in out
 
     def test_all_advertised_bounds_computable(self):

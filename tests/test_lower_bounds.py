@@ -221,11 +221,6 @@ class TestConstellationMi:
         b = constellation_mi_mc(c, samples=50000, seed=9)
         assert a.bits == b.bits
 
-    def test_dim_mismatch_rejected(self):
-        c = ring_constellation(3.0)
-        with pytest.raises(ValueError):
-            constellation_mi(c, dim=1)
-
 
 class TestMixtureKernel:
     def test_logsumexp_rows_matches_scipy(self):

@@ -192,12 +192,6 @@ class TestAngularKernel:
         with pytest.raises(ValueError):
             specfun.tilde_i_n(2, -1.0)
 
-    def test_series_control_validation(self):
-        with pytest.raises(ValueError):
-            specfun.SeriesControl(max_terms=0)
-        with pytest.raises(ValueError):
-            specfun.SeriesControl(rel_tol=1.5)
-
 
 class TestBinaryEntropy:
     def test_maximum(self):

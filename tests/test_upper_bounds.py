@@ -38,6 +38,21 @@ class TestChannelConfig:
         with pytest.raises(ValueError):
             TestDensityParams(beta=1.0)
 
+    def test_rejects_non_finite_amplitude_and_snr(self):
+        for A in (math.inf, math.nan, -2.0):
+            with pytest.raises(ValueError, match="amplitude"):
+                ChannelConfig(n=2, A=A)
+        for P in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="SNR"):
+                ChannelConfig.from_snr(2, P)
+        for n in (0, -1, 1.5):
+            with pytest.raises(ValueError, match="dimension"):
+                ChannelConfig.from_snr(n, 1.0)
+
+    def test_one_class_for_every_module(self):
+        assert ChannelConfig is radial.ChannelConfig
+        assert ChannelConfig.from_snr(3, 2.0).A == math.sqrt(6.0)
+
 
 class TestScalarDivergence:
     def test_mckellips_choice_bounds_all_x(self):
@@ -352,9 +367,3 @@ class TestEnvelope:
         ver = envelope(2, P, conjecture=False)
         assert ver.achiever == "minmax_verified"
         assert ver.rate_bits == pytest.approx(conj.rate_bits, abs=1e-7)
-
-    def test_restricted_include(self):
-        env = envelope(2, 2.0, include=("avg_power",))
-        assert env.achiever == "avg_power"
-        with pytest.raises(ValueError):
-            envelope(2, 2.0, include=())
