@@ -1,8 +1,10 @@
 """Command-line front end: SNR sweeps to CSV, point queries, verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  CSV output is
-deterministic: fixed 12-significant-digit formatting, rows sorted by
-(snr_db, bound_id), parallel workers assembled in input order.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a bound the
+numerics cannot evaluate (a QuadratureError, e.g. the radial integrals at
+100 dB), reported on one "error:" line.  CSV output is deterministic: fixed
+12-significant-digit formatting, rows sorted by (snr_db, bound_id), parallel
+workers assembled in input order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import lower_bounds, upper_bounds, verify
-from .radial import ChannelConfig
+from .radial import ChannelConfig, QuadratureError
 
 
 @dataclass(frozen=True)
@@ -237,6 +239,10 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
             if args.snr_db is None:
                 snr_db = ChannelConfig(args.dim, args.amplitude).snr_db
+                if not 10.0 ** (snr_db / 10.0) > 0.0:
+                    raise ValueError(
+                        f"amplitude {args.amplitude:g} is too small: its SNR "
+                        f"({snr_db:.6g} dB) underflows to 0")
             else:
                 snr_db = args.snr_db
                 ChannelConfig.from_snr_db(args.dim, snr_db)
@@ -254,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
             failures = sum(not r.passed for r in results)
             print(f"{len(results) - failures}/{len(results)} checks passed")
             return 1 if failures else 0
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import integrate, special
@@ -68,8 +69,14 @@ class QuadratureError(RuntimeError):
                  error: float = math.nan):
         super().__init__(f"{message} (estimate={estimate:.6g}, "
                          f"error estimate={error:.6g})")
+        self.message = message
         self.estimate = estimate
         self.error = error
+
+    def __reduce__(self):
+        # rebuilt from its parts, an error raised in a sweep worker reads
+        # the same in the parent process
+        return type(self), (self.message, self.estimate, self.error)
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,8 @@ class ChannelConfig:
 
     @property
     def snr_db(self) -> float:
-        return 10.0 * math.log10(self.snr)
+        # from A, not from snr: A^2 underflows to 0 below A = 2.2e-162
+        return 20.0 * math.log10(self.A) - 10.0 * math.log10(self.n)
 
     @classmethod
     def from_snr(cls, n: int, P: float) -> "ChannelConfig":
@@ -253,9 +261,11 @@ def radial_pair_grid(n: int, xs, A: float,
 
     Uses a composite Gauss-Legendre panel rule over [A, zmax], doubling the
     panel count until two successive refinements agree to spec.rel_tol;
-    the disagreement of the last doubling is the error estimate.  This is the
-    vectorized workhorse behind the min-max sweeps; the scalar q_n/g_n
-    entry points use the independent adaptive QUADPACK route.
+    the disagreement of the last doubling is the error estimate.  Raises
+    QuadratureError when four doublings do not converge, or when a converged
+    Q_n leaves [0, 1] by more than 1e-12.  The endpoint bounds read it
+    through RadialFunctions.pair; the scalar q_n/g_n entry points use the
+    independent adaptive QUADPACK route.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ChannelConfig(n, A)
@@ -287,6 +297,13 @@ def radial_pair_grid(n: int, xs, A: float,
             dq = np.max(np.abs(Q - prev[0]) / np.maximum(np.abs(Q), 1e-30))
             dg = np.max(np.abs(G - prev[1]) / np.maximum(np.abs(G), 1e-30))
             if max(dq, dg) < spec.rel_tol:
+                # a converged probability outside [0, 1] is still wrong
+                # (Q_2(A, A) came out 7.18 at A = 1.4e10)
+                worst = float(Q[np.argmax(np.abs(Q - 0.5))])
+                if abs(worst - 0.5) > 0.5 + 1e-12:
+                    raise QuadratureError(
+                        f"radial grid Q_n (n={n}, A={A}) left [0, 1]",
+                        worst, max(dq, dg))
                 return Q, G
         prev = (Q, G)
         panels *= 2
@@ -439,6 +456,19 @@ def radial_pair_ncx2(n: int, xs, A: float):
         sigmas *= 2.0
 
 
+@lru_cache(maxsize=64)
+def _endpoint_pair(n: int, A: float, x: float) -> tuple[float, float]:
+    """radial_pair_grid at one x, memoized for RadialFunctions.pair.
+
+    radial_pair_grid(n, [x], A) is deterministic, so a hit returns the bits
+    a fresh evaluation would.  The endpoint bounds at one (n, A) read two
+    entries, one after the other, so a small bound loses no sharing and keeps
+    the memo from growing over a long stream of queries.
+    """
+    Q, G = radial_pair_grid(n, [x], A)
+    return float(Q[0]), float(G[0])
+
+
 class RadialFunctions:
     """Cached radial-function evaluations for one (n, A) channel instance.
 
@@ -454,26 +484,22 @@ class RadialFunctions:
       the verified min-max route reads them, so its maximum over x, grid and
       refinement alike, is taken over one function.
 
-    Scalar lookups are memoized.  Caching is idempotent, so concurrent
-    readers and redundant concurrent writes are safe.
+    Scalar lookups are memoized: pair in the module-wide _endpoint_pair, so
+    every instance of one (n, A) shares it (the endpoint bounds at one SNR
+    build their own instances), grid_pair per instance.  Caching is
+    idempotent, so concurrent readers and redundant concurrent writes are
+    safe.
     """
 
     def __init__(self, n: int, A: float):
         ChannelConfig(n, A)
         self.n = int(n)
         self.A = float(A)
-        self._cache: dict[float, tuple[float, float]] = {}
         self._grid_cache: dict[float, tuple[float, float]] = {}
 
     def pair(self, x: float) -> tuple[float, float]:
         """(Q_n(x, A), g_n(x, A)) with memoization."""
-        key = float(x)
-        hit = self._cache.get(key)
-        if hit is None:
-            Q, G = radial_pair_grid(self.n, [key], self.A)
-            hit = (float(Q[0]), float(G[0]))
-            self._cache[key] = hit
-        return hit
+        return _endpoint_pair(self.n, self.A, float(x))
 
     def q(self, x: float) -> float:
         return self.pair(x)[0]

@@ -312,6 +312,52 @@ def suite_upper(seed: int = 0) -> list[CheckResult]:
 # lower bounds
 # ---------------------------------------------------------------------------
 
+# The polar rule constellation_mi used before its lattice rule, kept as an
+# independent oracle: composite 12-point Gauss-Legendre panels of width 0.75
+# along y (1-D) or the radius (2-D), and in 2-D ceil(2 pi R / 0.35) equally
+# spaced angles, an arc spacing of 0.35 at the outer radius R.
+_GL_ORDER = 12
+_PANEL, _ARC = 0.75, 0.35
+
+
+def _gl_nodes(lo: float, hi: float):
+    """Gauss-Legendre nodes and weights on [lo, hi], panels <= _PANEL wide."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(_GL_ORDER)
+    edges = np.linspace(lo, hi, int(math.ceil((hi - lo) / _PANEL)) + 1)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    w = (half[:, None] * gl_w[None, :]).ravel()
+    return x, w
+
+
+def _entropy_quad_1d(points, logw):
+    y, w = _gl_nodes(float(points.min()) - 10.0, float(points.max()) + 10.0)
+    lp = lower_bounds._log_mixture(y[:, None], points, logw)
+    return float(-(w * np.exp(lp) * lp).sum())
+
+
+def _entropy_quad_2d(points, logw):
+    R = float(np.sqrt(np.square(points).sum(axis=1)).max()) + 10.0
+    r, rw = _gl_nodes(0.0, R)
+    ang_nodes = int(math.ceil(2.0 * math.pi * R / _ARC))
+    phi = np.arange(ang_nodes) * (2.0 * math.pi / ang_nodes)
+    Y = np.stack([np.outer(r, np.cos(phi)).ravel(),
+                  np.outer(r, np.sin(phi)).ravel()], axis=1)
+    W = np.repeat(rw * r * (2.0 * math.pi / ang_nodes), ang_nodes)
+    lp = lower_bounds._log_mixture(Y, points, logw)
+    return float(-(W * np.exp(lp) * lp).sum())
+
+
+def constellation_mi_polar(c: lower_bounds.Constellation) -> float:
+    """Mutual information of c in bits by the polar rule: an oracle for
+    lower_bounds.constellation_mi on the same truncation region."""
+    points, logw = lower_bounds._support(c)
+    quad = _entropy_quad_1d if c.dim == 1 else _entropy_quad_2d
+    nats = quad(points, logw) - 0.5 * c.dim * lower_bounds.LN_2PIE
+    return max(nats, 0.0) / LN2
+
+
 def suite_lower(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -349,6 +395,21 @@ def suite_lower(seed: int = 0) -> list[CheckResult]:
         worst = max(worst, analytic.rate_bits - mi.bits)
     out.append(_result("lower", "analytic_bound_below_packing_mi", worst, 0.02,
                        "bits, N in {4, 8, 16}, alpha = 4"))
+
+    # rings of the 2-D sweep, the packings of criterion 10, and the 1-D set
+    # (gap 7.5) on which a lattice spacing not following the gap misses
+    cases = [lower_bounds.ring_constellation(
+        math.sqrt(2.0 * 10.0 ** (snr_db / 10.0)))
+        for snr_db in (-10.0, 0.0, 10.0, 20.0)]
+    cases += [lower_bounds.a_n_constellation(
+        N, lower_bounds.delta_for_alpha(N, 4.0)) for N in (4, 8, 16)]
+    cases.append(lower_bounds.Constellation.equiprobable(
+        np.linspace(-15.0, 15.0, 5)[:, None]))
+    worst = max(abs(lower_bounds.constellation_mi(cst, refine_check=False).bits
+                    - constellation_mi_polar(cst)) for cst in cases)
+    out.append(_result("lower", "mi_lattice_vs_polar", worst, 1e-12,
+                       "bits: rings at -10/0/10/20 dB, alpha = 4 packings "
+                       "N in {4, 8, 16}, 5-PAM on [-15, 15]"))
 
     worst = -math.inf
     for n, snr_db in ((1, -5.0), (1, 5.0), (1, 15.0), (2, -5.0), (2, 3.0),

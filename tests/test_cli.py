@@ -136,6 +136,7 @@ class TestInvalidInput:
         ("point --dim 2 --amplitude 0 --bounds avg_power", "amplitude"),
         ("point --dim 2 --amplitude -2 --bounds avg_power", "amplitude"),
         ("point --dim 2 --amplitude inf --bounds avg_power", "amplitude"),
+        ("point --dim 2 --amplitude 1e-200 --bounds avg_power", "amplitude"),
         ("point --dim 2 --snr-db inf --bounds envelope", "snr"),
         ("point --dim 2 --snr-db nan --bounds avg_power", "snr"),
         ("point --dim 2 --snr-db 4000 --bounds avg_power", "snr"),
@@ -156,6 +157,24 @@ class TestInvalidInput:
         captured = capsys.readouterr()
         assert named in captured.err.lower()
         assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "point --dim 2 --snr-db 100 --bounds envelope",
+        "sweep --dim 2 --snr-db-min 99 --snr-db-max 100 --step 1 "
+        "--bounds envelope --jobs 2",
+    ])
+    def test_quadrature_failure_exits_two(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = argv.split()
+        if argv[0] == "sweep":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: radial grid integration "
+                                       "did not converge (estimate=")
+        assert captured.err.count("estimate=") == 2  # not doubled by pickling
         assert captured.out == ""
         assert not out.exists()
 

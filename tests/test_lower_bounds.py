@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from awgncap import lower_bounds, upper_bounds
+from awgncap import lower_bounds, upper_bounds, verify
 from awgncap.lower_bounds import (Constellation, a_n_constellation,
                                   analytical_lower_bound, constellation_mi,
                                   constellation_mi_mc, constellation_moments,
@@ -277,6 +277,48 @@ class TestQuadratureRule:
         for m in range(2, int(math.ceil(2.0 + 2.0 * A)) + 5):
             c = Constellation.equiprobable(np.linspace(-A, A, m)[:, None])
             assert constellation_mi(c).err_bits <= 1e-12, m
+
+
+# constellations whose neighbouring points are far apart, by name
+_WIDE_GAP_SETS = {f"pair_1d_s{s}": [[-0.5 * s], [0.5 * s]]
+                  for s in (3, 5, 7, 10, 16)}
+for _g in (3.0, 7.5, 12.0):
+    _WIDE_GAP_SETS.update({
+        f"qpsk_g{_g}": [[0.5 * _g, 0.5 * _g], [-0.5 * _g, 0.5 * _g],
+                        [-0.5 * _g, -0.5 * _g], [0.5 * _g, -0.5 * _g]],
+        f"collinear_g{_g}": [[0.8 * k * _g, 0.6 * k * _g] for k in range(4)],
+        f"two_clusters_g{_g}": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0],
+                                [_g + 1.0, 0.0], [_g + 2.0, 0.0],
+                                [_g + 1.0, 1.0]],
+    })
+_WIDE_GAP_SETS["two_points_2d"] = [[0.0, 0.0], [6.0, 8.0]]
+
+
+class TestLatticeRule:
+    """The gap-adaptive lattice rule against the polar Gauss-Legendre rule
+    it replaced, where neighbouring points are far apart."""
+
+    @pytest.mark.parametrize("name", sorted(_WIDE_GAP_SETS))
+    def test_wide_gaps_match_polar_oracle(self, name):
+        c = Constellation.equiprobable(np.array(_WIDE_GAP_SETS[name]))
+        mi = constellation_mi(c)
+        assert mi.bits == pytest.approx(verify.constellation_mi_polar(c),
+                                        abs=1e-12)
+        assert mi.err_bits <= 1e-12
+
+    def test_spacing_follows_the_longest_gap(self):
+        def step(pts):
+            return lower_bounds._lattice_step(np.array(pts, dtype=float))
+
+        assert step([[0.0]]) == 0.3
+        assert step([[0.0], [1.0], [4.0]]) == pytest.approx(0.25)
+        assert step([[0.0], [100.0]]) == 0.12
+        # a square of side 2: the Delaunay diagonal, 2 sqrt(2), is longest
+        assert step([[0, 0], [2, 0], [2, 2], [0, 2]]) == pytest.approx(
+            0.75 / (2.0 * math.sqrt(2.0)))
+        # collinear points and pairs are measured along their line
+        assert step([[0, 0], [3, 4], [6, 8]]) == pytest.approx(0.15)
+        assert step([[0, 0], [3, 4]]) == pytest.approx(0.15)
 
 
 class TestPamLowerBound:

@@ -423,3 +423,13 @@ class TestQuadratureSpec:
         spec = QuadratureSpec(rel_tol=1e-8, truncation_sigma=12.0)
         assert radial.q_n(2, 1.0, 2.0, spec) == pytest.approx(
             specfun.marcum_q1(1.0, 2.0), abs=1e-7)
+
+
+class TestQuadratureError:
+    def test_pickle_keeps_the_message(self):
+        import pickle
+
+        err = radial.QuadratureError("did not converge", 0.5, 2e-9)
+        back = pickle.loads(pickle.dumps(err))
+        assert str(back) == str(err)
+        assert (back.estimate, back.error) == (0.5, 2e-9)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from awgncap import lower_bounds, radial, specfun, upper_bounds
+from awgncap import cli, lower_bounds, radial, specfun, upper_bounds
 from awgncap.upper_bounds import (ChannelConfig, TestDensityParams,
                                   amplitude_threshold, beta_star, d1, d_n,
                                   envelope, mckellips_1d, mckellips_nd,
@@ -48,6 +48,12 @@ class TestChannelConfig:
         for n in (0, -1, 1.5):
             with pytest.raises(ValueError, match="dimension"):
                 ChannelConfig.from_snr(n, 1.0)
+
+    def test_snr_db_of_a_tiny_amplitude(self):
+        # A^2 underflows to 0 here; the dB value does not
+        cfg = ChannelConfig(n=2, A=1e-200)
+        assert cfg.snr_db == pytest.approx(-4000.0 - 10 * math.log10(2.0),
+                                           rel=1e-14)
 
     def test_one_class_for_every_module(self):
         assert ChannelConfig is radial.ChannelConfig
@@ -367,3 +373,35 @@ class TestEnvelope:
         ver = envelope(2, P, conjecture=False)
         assert ver.achiever == "minmax_verified"
         assert ver.rate_bits == pytest.approx(conj.rate_bits, abs=1e-7)
+
+
+_ENDPOINT_IDS = ("envelope", "refined", "minmax_conjectured")
+
+
+class TestEndpointPairs:
+    """The endpoint bounds read Q_n, g_n at x = 0 and x = A only."""
+
+    def test_three_bounds_share_two_radial_evaluations(self, monkeypatch):
+        n, P = 3, 10.0 ** 0.8
+        cold = {}
+        for b in _ENDPOINT_IDS:
+            radial._endpoint_pair.cache_clear()
+            cold[b] = cli.compute_bound(b, n, P)
+        xs = []
+        real = radial.radial_pair_grid
+
+        def counting(n_, x, A, *args, **kwargs):
+            xs.extend(np.atleast_1d(x).tolist())
+            return real(n_, x, A, *args, **kwargs)
+
+        monkeypatch.setattr(radial, "radial_pair_grid", counting)
+        radial._endpoint_pair.cache_clear()
+        warm = {b: cli.compute_bound(b, n, P) for b in _ENDPOINT_IDS}
+        assert sorted(xs) == [0.0, math.sqrt(n * P)]
+        assert warm == cold
+
+    @pytest.mark.parametrize("bound_id", _ENDPOINT_IDS)
+    def test_probability_outside_unit_interval_raises(self, bound_id):
+        # at 200 dB the panel rule converges to Q_2(A, A) = 7.18
+        with pytest.raises(radial.QuadratureError, match=r"\[0, 1\]"):
+            cli.compute_bound(bound_id, 2, 1e20)
