@@ -7,16 +7,13 @@ entropy-power inequality.  Rates are bits per n-dimensional channel use
 with SNR P = A^2/n at unit noise variance per dimension.
 """
 
-from .specfun import (bessel_i0_scaled, binary_entropy_nats,
-                      double_factorial, gamma_half, gauss_pdf, marcum_q1,
-                      q_func, tilde_i_n, tilde_i_n_scaled)
-from .radial import (QuadratureError, QuadratureSpec, RadialFunctions,
-                     g_n, g_tilde_n, k_n_closed, k_n_numeric, q_n, vol_ball)
+from .specfun import (bessel_i0_scaled, binary_entropy_nats, gamma_half,
+                      gauss_pdf, q_func, tilde_i_n, tilde_i_n_scaled)
+from .radial import QuadratureError, RadialFunctions, k_n_closed, vol_ball
 from .upper_bounds import (BoundPoint, ChannelConfig, MinmaxDetail,
-                           TestDensityParams, amplitude_threshold, avg_power,
-                           beta_star, d1, d_n, envelope, mckellips_1d,
-                           mckellips_nd, minmax_dual, minmax_dual_detail,
-                           refined_1d, refined_nd)
+                           amplitude_threshold, avg_power, beta_star, d_n,
+                           envelope, mckellips_nd, minmax_dual,
+                           minmax_dual_detail, refined_1d, refined_nd)
 from .lower_bounds import (AnalyticalBound, Constellation,
                            ConstellationMoments, MiEstimate,
                            a_n_constellation, analytical_lower_bound,
@@ -24,5 +21,7 @@ from .lower_bounds import (AnalyticalBound, Constellation,
                            constellation_moments, delta_for_alpha,
                            pam_lower_bound_1d, ring_constellation,
                            volume_lower_bound)
+from .oracles import (d1, g_n, g_tilde_n, k_n_numeric, marcum_q1,
+                      mckellips_1d, q_n)
 
 __version__ = "0.1.0"

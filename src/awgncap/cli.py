@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from . import lower_bounds, upper_bounds, verify
+from . import lower_bounds, upper_bounds
 from .radial import ChannelConfig, QuadratureError
 
 
@@ -100,6 +101,10 @@ def _fmt(v: float) -> str:
     return format(v, ".12g")
 
 
+# a longer grid is a mistyped --step, not a sweep anyone waits for
+MAX_GRID_POINTS = 10 ** 6
+
+
 @dataclass(frozen=True)
 class SweepRequest:
     """A CSV sweep job: dimension, dB grid, bound ids, destination."""
@@ -121,6 +126,10 @@ class SweepRequest:
             raise ValueError("snr-db-min must not exceed snr-db-max")
         if not self.snr_db_step > 0:
             raise ValueError(f"step must be positive, got {self.snr_db_step}")
+        span = (self.snr_db_max - self.snr_db_min) / self.snr_db_step
+        if span + 1e-9 >= MAX_GRID_POINTS:
+            raise ValueError(f"step {self.snr_db_step:g} gives more than "
+                             f"{MAX_GRID_POINTS} grid points")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if not self.bounds:
@@ -138,8 +147,10 @@ def sweep(req: SweepRequest) -> None:
     """Evaluate the requested bounds over the SNR grid and write the CSV."""
     tasks = [(req.n, s, list(req.bounds), req.per_dimension)
              for s in req.grid()]
-    if req.jobs > 1:
-        with ProcessPoolExecutor(max_workers=req.jobs) as pool:
+    # the pool starts all its workers at once: no more than tasks or cores
+    workers = min(req.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_point_rows, tasks))
     else:
         chunks = [_point_rows(t) for t in tasks]
@@ -195,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated bound ids")
     sw.add_argument("--out", type=str, required=True, help="output CSV path")
     sw.add_argument("--jobs", type=int, default=1,
-                    help="parallel workers (results keep input order)")
+                    help="parallel workers, at most one per grid point and "
+                         "core (results keep input order)")
     sw.add_argument("--per-dimension", action="store_true")
 
     pt = sub.add_parser("point", help="evaluate bounds at one SNR")
@@ -203,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify", help="run the property suites")
     vf.add_argument("--suite", type=str, default="all",
-                    help=f"one of {', '.join(verify.SUITES)}")
+                    help="specfun, radial, upper, lower or all")
     vf.add_argument("--seed", type=int, default=0)
     return ap
 
@@ -254,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
                       f"{'true' if valid else 'false'},{achiever}")
             return 0
         if args.command == "verify":
+            # the suites load scipy.integrate; the bounds need only special
+            from . import verify
+
             results = verify.run_suite(args.suite, seed=args.seed)
             for res in results:
                 print(res.line())

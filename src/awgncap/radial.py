@@ -12,11 +12,12 @@ that x + Z leaves the ball of radius A, so Q_2 is the Marcum Q-function.
 The n = 1 instances reduce to exact Gaussian-tail closed forms and are
 provided so the generic bound machinery covers the scalar channel.
 
-All integrands pair the Gaussian factor with the exponentially scaled kernel
-as e^{-(z-x)^2/2} [e^{-zx} tilde_I_n(zx)], which stays finite for any z*x.
-
-radial_pair_ncx2 evaluates (Q_n, g_n) with no quadrature: R^2 = |x + Z|^2 is
+radial_pair_grid integrates (Q_n, g_n) by a composite Gauss-Legendre rule,
+pairing the Gaussian factor with the exponentially scaled kernel as
+e^{-(z-x)^2/2} [e^{-zx} tilde_I_n(zx)], which stays finite for any z*x.
+radial_pair_ncx2 evaluates them with no quadrature: R^2 = |x + Z|^2 is
 noncentral chi-square with n degrees of freedom and noncentrality x^2.
+The adaptive QUADPACK route, an independent reference, is in oracles.
 """
 
 from __future__ import annotations
@@ -26,40 +27,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import specfun
 from .specfun import gamma_half, gauss_pdf, q_func
 
 __all__ = [
-    "ChannelConfig", "QuadratureSpec", "QuadratureError", "DEFAULT_QUAD",
-    "vol_ball", "log_vol_ball", "k_n_closed", "k_n_numeric", "q_n", "g_n",
-    "g_tilde_n", "g_edge", "radial_pair_grid", "radial_pair_ncx2",
+    "ChannelConfig", "QuadratureError", "vol_ball", "log_vol_ball",
+    "k_n_closed", "g_edge", "radial_pair_grid", "radial_pair_ncx2",
     "RadialFunctions",
 ]
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and truncation policy for the radial integrals."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
-    truncation_sigma: float = 40.0
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.truncation_sigma < 8:
-            raise ValueError(
-                f"truncation_sigma must be >= 8, got {self.truncation_sigma}")
-        if self.max_subdivisions < 10:
-            raise ValueError(
-                f"max_subdivisions must be >= 10, got {self.max_subdivisions}")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# radial_pair_grid integrates over [A, max(A, x) + _TRUNCATION_SIGMA], where
+# the Gaussian factor is below the double-precision floor even after
+# polynomial growth, and accepts two panel doublings that agree to _REL_TOL
+_TRUNCATION_SIGMA = 40.0
+_REL_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -151,121 +134,37 @@ def k_n_closed(n: int, A: float) -> float:
     return total
 
 
-def k_n_numeric(n: int, A: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Shell normalizer by adaptive quadrature of its defining integral.
-
-    k_n(A) = (2 / (2^{n/2} Gamma(n/2))) int_A^inf e^{-(r-A)^2/2} r^{n-1} dr,
-    truncated at A + truncation_sigma where the Gaussian factor is below
-    the double-precision floor even after polynomial growth.
-    """
-    ChannelConfig(n, A)
-    prefac = 2.0 / (2.0 ** (0.5 * n) * gamma_half(n / 2.0))
-
-    def integrand(r):
-        return math.exp(-0.5 * (r - A) ** 2) * r ** (n - 1)
-
-    val, err = integrate.quad(integrand, A, A + spec.truncation_sigma,
-                              epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                              limit=spec.max_subdivisions)
-    if err > max(spec.abs_tol, 100.0 * spec.rel_tol * abs(val)):
-        raise QuadratureError("k_n_numeric did not converge", prefac * val,
-                              prefac * err)
-    return prefac * val
-
-
-def _scaled_kernel_times_power(n, z, x, A):
-    """Common integrand e^{-(z-x)^2/2} [e^{-zx} tilde_I_n(zx)] z^{n-1}."""
-    return (np.exp(-0.5 * np.square(z - x))
-            * specfun.tilde_i_n_scaled(n, z * x) * z ** (n - 1.0))
-
-
-def _radial_quad(n, x, A, weight, spec):
-    """Adaptive quadrature of weight(z) * kernel over [A, zmax]."""
-    zmax = max(A, x) + spec.truncation_sigma
-
-    def integrand(z):
-        return weight(z) * _scaled_kernel_times_power(n, z, x, A)
-
-    val, err = integrate.quad(integrand, A, zmax, epsabs=spec.abs_tol,
-                              epsrel=spec.rel_tol, limit=spec.max_subdivisions)
-    if err > max(spec.abs_tol, 100.0 * spec.rel_tol * max(abs(val), 1e-300)):
-        raise QuadratureError(f"radial integral (n={n}, x={x}, A={A}) "
-                              "did not converge", val, err)
-    return val
-
-
-def _validate_radial_args(n, x, A):
-    ChannelConfig(n, A)
-    if x < 0 or x > A:
-        raise ValueError(f"x must lie in [0, A] = [0, {A}], got {x}")
-
-
-def q_n(n: int, x: float, A: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Radial tail probability Q_n(x, A); Q_2 equals Marcum Q_1(x, A).
-
-    For n = 1 this is the exact two-sided Gaussian tail Q(A-x) + Q(A+x).
-    """
-    _validate_radial_args(n, x, A)
-    if n == 1:
-        return float(q_func(A - x) + q_func(A + x))
-    return min(_radial_quad(n, x, A, lambda z: 1.0, spec), 1.0)
-
-
 def g_edge(u):
     """g(u) = u^2 Q(u) - u psi(u), the quadratic-weighted Gaussian tail deficit."""
     return np.square(u) * q_func(u) - u * gauss_pdf(u)
 
 
-def g_n(n: int, x: float, A: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Quadratically weighted radial tail g_n(x, A) (nonnegative).
-
-    For n = 1: (1/2)[Q(A-x) + Q(A+x)] + (1/2)[g(A-x) + g(A+x)] with
-    g(u) = u^2 Q(u) - u psi(u), the exact reduction of the shell integral.
-    """
-    _validate_radial_args(n, x, A)
-    if n == 1:
-        return float(0.5 * (q_func(A - x) + q_func(A + x))
-                     + 0.5 * (g_edge(A - x) + g_edge(A + x)))
-    return max(_radial_quad(n, x, A, lambda z: 0.5 * (z - A) ** 2, spec), 0.0)
+@lru_cache(maxsize=None)
+def _legendre(order: int):
+    return np.polynomial.legendre.leggauss(order)
 
 
-def g_tilde_n(n: int, x: float, A: float,
-              spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """gtilde_n(x, A), integrated directly (not via the identity).
-
-    Positive for all x in [0, A]; for n = 1 it reduces to
-    -(1/2)[g(A-x) + g(A+x)], positive because g(u) <= 0 for u >= 0.
-    """
-    _validate_radial_args(n, x, A)
-    if n == 1:
-        return float(-0.5 * (g_edge(A - x) + g_edge(A + x)))
-    return _radial_quad(n, x, A, lambda z: 0.5 * n - 0.5 * (z - A) ** 2, spec)
-
-
-_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-
-
-def _panel_grid(a: float, b: float, panels: int):
-    """Nodes/weights of a composite 20-point Gauss-Legendre rule on [a, b]."""
+def _panel_grid(a: float, b: float, panels: int, order: int):
+    """Nodes and weights of the composite order-point Gauss-Legendre rule on
+    `panels` equal panels of [a, b]."""
+    nodes, weights = _legendre(order)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    z = (mid[:, None] + half[:, None] * _PANEL_NODES[None, :]).ravel()
-    w = (half[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
+    z = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    w = (half[:, None] * weights[None, :]).ravel()
     return z, w
 
 
-def radial_pair_grid(n: int, xs, A: float,
-                     spec: QuadratureSpec = DEFAULT_QUAD):
+def radial_pair_grid(n: int, xs, A: float):
     """(Q_n(x, A), g_n(x, A)) for a whole array of x values at once.
 
     Uses a composite Gauss-Legendre panel rule over [A, zmax], doubling the
-    panel count until two successive refinements agree to spec.rel_tol;
-    the disagreement of the last doubling is the error estimate.  Raises
+    panel count until two successive refinements agree to _REL_TOL; the
+    disagreement of the last doubling is the error estimate.  Raises
     QuadratureError when four doublings do not converge, or when a converged
     Q_n leaves [0, 1] by more than 1e-12.  The endpoint bounds read it
-    through RadialFunctions.pair; the scalar q_n/g_n entry points use the
-    independent adaptive QUADPACK route.
+    through RadialFunctions.pair.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ChannelConfig(n, A)
@@ -278,11 +177,11 @@ def radial_pair_grid(n: int, xs, A: float,
         G = 0.5 * Q + 0.5 * (g_edge(A - xs) + g_edge(A + xs))
         return Q, G
 
-    zmax = max(A, float(xs.max())) + spec.truncation_sigma
+    zmax = max(A, float(xs.max())) + _TRUNCATION_SIGMA
     panels = max(16, int(math.ceil((zmax - A) * 2.0)))
     prev = None
     for _ in range(4):
-        z, w = _panel_grid(A, zmax, panels)
+        z, w = _panel_grid(A, zmax, panels, 20)
         # entries with |z - x| > 14 carry a Gaussian factor below e^{-98};
         # skipping the kernel there changes the integrals by < 1e-30
         expo = -0.5 * np.square(z[None, :] - xs[:, None])
@@ -296,7 +195,7 @@ def radial_pair_grid(n: int, xs, A: float,
         if prev is not None:
             dq = np.max(np.abs(Q - prev[0]) / np.maximum(np.abs(Q), 1e-30))
             dg = np.max(np.abs(G - prev[1]) / np.maximum(np.abs(G), 1e-30))
-            if max(dq, dg) < spec.rel_tol:
+            if max(dq, dg) < _REL_TOL:
                 # a converged probability outside [0, 1] is still wrong
                 # (Q_2(A, A) came out 7.18 at A = 1.4e10)
                 worst = float(Q[np.argmax(np.abs(Q - 0.5))])
@@ -470,32 +369,26 @@ def _endpoint_pair(n: int, A: float, x: float) -> tuple[float, float]:
 
 
 class RadialFunctions:
-    """Cached radial-function evaluations for one (n, A) channel instance.
+    """The endpoint radial values of one (n, A) channel instance.
 
-    Two routes, kept apart on purpose:
+    pair(x) (and q, g_tilde) reads the panel rule radial_pair_grid, which is
+    the closed form for n = 1.  It feeds the endpoint bounds: refined, beta*
+    and minmax_conjectured.  When the worst case sits at x = A, refined and
+    minmax_conjectured are algebraically equal, so rounding alone picks the
+    envelope's achiever; the endpoint values stay bit-identical until the
+    benchmark's achiever check (perfbench/check.py) is tie-aware.
 
-    * pair(x) (and q, g, g_tilde) uses the panel rule radial_pair_grid,
-      which is the closed form for n = 1.  It feeds the endpoint bounds:
-      refined, beta* and minmax_conjectured.  When the worst case sits at x = A, refined
-      and minmax_conjectured are algebraically equal, so rounding alone picks
-      the envelope's achiever; the endpoint values stay bit-identical until
-      the benchmark's achiever check (perfbench/check.py) is tie-aware.
-    * grid(xs) and grid_pair(x) use the closed form radial_pair_ncx2.  Only
-      the verified min-max route reads them, so its maximum over x, grid and
-      refinement alike, is taken over one function.
-
-    Scalar lookups are memoized: pair in the module-wide _endpoint_pair, so
-    every instance of one (n, A) shares it (the endpoint bounds at one SNR
-    build their own instances), grid_pair per instance.  Caching is
-    idempotent, so concurrent readers and redundant concurrent writes are
-    safe.
+    Lookups go through the module-wide memo _endpoint_pair, so the endpoint
+    bounds at one (n, A) share two evaluations, whichever instances they
+    build.  The memo is idempotent, so concurrent readers and redundant
+    concurrent writes are safe.  The verified min-max route reads the closed
+    form radial_pair_ncx2 instead.
     """
 
     def __init__(self, n: int, A: float):
         ChannelConfig(n, A)
         self.n = int(n)
         self.A = float(A)
-        self._grid_cache: dict[float, tuple[float, float]] = {}
 
     def pair(self, x: float) -> tuple[float, float]:
         """(Q_n(x, A), g_n(x, A)) with memoization."""
@@ -504,23 +397,6 @@ class RadialFunctions:
     def q(self, x: float) -> float:
         return self.pair(x)[0]
 
-    def g(self, x: float) -> float:
-        return self.pair(x)[1]
-
     def g_tilde(self, x: float) -> float:
         q, g = self.pair(x)
         return 0.5 * self.n * q - g
-
-    def grid(self, xs):
-        """(Q, g) arrays over xs via the closed form radial_pair_ncx2."""
-        return radial_pair_ncx2(self.n, xs, self.A)
-
-    def grid_pair(self, x: float) -> tuple[float, float]:
-        """(Q_n(x, A), g_n(x, A)) by the route of grid, with memoization."""
-        key = float(x)
-        hit = self._grid_cache.get(key)
-        if hit is None:
-            Q, G = radial_pair_ncx2(self.n, [key], self.A)
-            hit = (float(Q[0]), float(G[0]))
-            self._grid_cache[key] = hit
-        return hit

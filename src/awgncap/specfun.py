@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 LN_2PI = math.log(2.0 * math.pi)
@@ -47,25 +47,6 @@ def bessel_i0_scaled(x):
     return float(out) if out.ndim == 0 else out
 
 
-def marcum_q1(a: float, b: float) -> float:
-    """Marcum Q-function Q_1(a, b) = int_b^inf z e^{-(z^2+a^2)/2} I_0(az) dz.
-
-    Evaluated by adaptive quadrature of the rescaled integrand
-    z e^{-(z-a)^2/2} [e^{-az} I_0(az)], whose factors are individually finite
-    for any argument size.  The result lies in [0, 1].
-    """
-    if a < 0 or b < 0:
-        raise ValueError("marcum_q1 requires a >= 0 and b >= 0")
-    upper = max(a, b) + 40.0
-
-    def integrand(z):
-        return z * math.exp(-0.5 * (z - a) ** 2) * special.i0e(a * z)
-
-    val, _ = integrate.quad(integrand, b, upper, epsabs=1e-14, epsrel=1e-12,
-                            limit=200)
-    return min(max(val, 0.0), 1.0)
-
-
 def binary_entropy_nats(p: float) -> float:
     """Binary entropy -p log p - (1-p) log(1-p) in nats, with 0 log 0 = 0."""
     if not 0.0 <= p <= 1.0:
@@ -73,35 +54,6 @@ def binary_entropy_nats(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
-
-
-def double_factorial(k: int) -> float:
-    """k!! for integer k >= -1, with (-1)!! = 0!! = 1.
-
-    Exact integer products are used as long as they fit a float; larger
-    arguments go through lgamma to avoid intermediate overflow.
-    """
-    if k != int(k) or k < -1:
-        raise ValueError(f"double_factorial requires an integer k >= -1, got {k}")
-    k = int(k)
-    if k <= 0:
-        return 1.0
-    if k <= 300:  # exact integer product still fits a double (300!! ~ 1.7e308)
-        out = 1
-        for j in range(k, 1, -2):
-            out *= j
-        try:
-            return float(out)
-        except OverflowError:
-            return math.inf
-    # log domain: k!! = 2^{k/2} (k/2)!  (k even),  k!/(2^{(k-1)/2} ((k-1)/2)!)  (k odd)
-    if k % 2 == 0:
-        h = k // 2
-        log_v = h * LN2 + math.lgamma(h + 1)
-    else:
-        h = (k - 1) // 2
-        log_v = math.lgamma(k + 1) - h * LN2 - math.lgamma(h + 1)
-    return math.exp(log_v) if log_v < 709.0 else math.inf
 
 
 def gamma_half(m: float) -> float:

@@ -26,34 +26,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import radial
 from .radial import ChannelConfig, RadialFunctions
 from .specfun import LN2, binary_entropy_nats, q_func
 
 __all__ = [
-    "ChannelConfig", "TestDensityParams", "BoundPoint", "MinmaxDetail",
-    "avg_power", "d1", "mckellips_1d", "refined_1d", "d_n", "mckellips_nd",
-    "refined_nd", "beta_star", "amplitude_threshold", "minmax_dual",
-    "minmax_dual_detail", "envelope",
+    "ChannelConfig", "BoundPoint", "MinmaxDetail", "avg_power", "refined_1d",
+    "d_n", "mckellips_nd", "refined_nd", "beta_star", "amplitude_threshold",
+    "minmax_dual", "minmax_dual_detail", "envelope",
 ]
 
 LN_2PI = math.log(2.0 * math.pi)
 LN_2PIE = math.log(2.0 * math.pi * math.e)
-
-
-@dataclass(frozen=True)
-class TestDensityParams:
-    """Mixing weight of the uniform-ball component of the test density."""
-
-    __test__ = False  # not a pytest class, despite the Test prefix
-
-    beta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -76,13 +62,6 @@ class BoundPoint:
                              f"({self.bound_id} at {self.snr_db} dB)")
 
 
-def _beta_value(beta) -> float:
-    b = beta.beta if isinstance(beta, TestDensityParams) else float(beta)
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {b}")
-    return b
-
-
 def avg_power(n: int, P: float) -> float:
     """Average-power capacity (n/2) log2(1 + P), an upper bound at any A."""
     ChannelConfig.from_snr(n, P)
@@ -93,60 +72,20 @@ def avg_power(n: int, P: float) -> float:
 # scalar (n = 1) channel
 # ---------------------------------------------------------------------------
 
-def d1(beta, x: float, A: float) -> float:
-    """Dual-bound divergence for the scalar channel, in nats.
-
-    D = log(2A / (beta sqrt(2 pi e)))
-        + log(beta sqrt(2 pi e) / ((1-beta) 2A)) [Q(A-x) + Q(A+x)]
-        + (1/2)[g(A-x) + g(A+x)],          g(u) = u^2 Q(u) - u psi(u).
-
-    Symmetry of the channel permits restricting to x in [0, A].
-    """
-    b = _beta_value(beta)
-    ChannelConfig(1, A)
-    if x < 0 or x > A:
-        raise ValueError(f"x must lie in [0, A] = [0, {A}], got {x}")
-    qq = float(q_func(A - x) + q_func(A + x))
-    gg = float(radial.g_edge(A - x) + radial.g_edge(A + x))
-    first = math.log(2.0 * A) - 0.5 * LN_2PIE - math.log(b)
-    coeff = 0.5 * LN_2PIE + math.log(b) - math.log(1.0 - b) - math.log(2.0 * A)
-    return first + coeff * qq + 0.5 * gg
-
-
-def mckellips_1d(P: float) -> float:
-    """McKellips' scalar bound min{log2(1 + sqrt(2P/(pi e))), (1/2)log2(1+P)}.
-
-    The paper's closed form; mckellips_nd(1, P) agrees to rounding.
-    """
-    avg = avg_power(1, P)
-    peak = math.log1p(math.sqrt(2.0 * P / (math.pi * math.e))) / LN2
-    return min(peak, avg)
-
-
-@lru_cache(maxsize=None)
-def _amplitude_threshold_1d() -> float:
-    # largest A with 1/2 - Q(2A) >= 2A / (sqrt(2 pi e) + 2A)
-    s = math.sqrt(2.0 * math.pi * math.e)
-
-    def gap(A):
-        return 0.5 - float(q_func(2.0 * A)) - 2.0 * A / (s + 2.0 * A)
-
-    return float(optimize.brentq(gap, 0.5, 5.0, xtol=1e-12))
-
-
 def refined_1d(P: float) -> BoundPoint:
     """Refined scalar bound beta(P) log sqrt(2P/(pi e)) + H_e(beta(P)).
 
     beta(P) = 1/2 - Q(2 sqrt(P)).  The bound is provable only while this
     beta keeps the x-dependent divergence term nonincreasing, i.e. for
-    A <= 2.0662 (about 6.303 dB); beyond that the point is flagged invalid.
+    A <= A*_1 = 2.0662 (about 6.303 dB); beyond that the point is flagged
+    invalid.
     """
     A = ChannelConfig.from_snr(1, P).A
     beta = 0.5 - float(q_func(2.0 * A))
     nats = beta * math.log(math.sqrt(2.0 * P / (math.pi * math.e)))
     nats += binary_entropy_nats(beta)
     return BoundPoint(snr_db=10.0 * math.log10(P), rate_bits=nats / LN2,
-                      bound_id="refined", valid=A <= _amplitude_threshold_1d())
+                      bound_id="refined", valid=A <= amplitude_threshold(1))
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +101,16 @@ def _dn_terms(n: int, beta: float, A: float):
     return first, coeff
 
 
-def d_n(n: int, beta, x: float, A: float,
-        rf: RadialFunctions | None = None) -> float:
+def d_n(n: int, beta: float, x: float, A: float) -> float:
     """Dual-bound divergence D_n(beta, x) in nats for dimension n >= 1.
 
     The n = 1 instance uses the exact closed-form radial reductions and
-    agrees with d1 to floating-point accuracy.
+    agrees with oracles.d1 to floating-point accuracy.
     """
-    b = _beta_value(beta)
-    rf = rf or RadialFunctions(n, A)
-    q, g = rf.pair(float(x))
-    first, coeff = _dn_terms(n, b, A)
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    q, g = RadialFunctions(n, A).pair(x)
+    first, coeff = _dn_terms(n, beta, A)
     return first + coeff * q + g
 
 
@@ -185,34 +123,61 @@ def mckellips_nd(n: int, P: float) -> float:
     return min(peak, avg_power(n, P))
 
 
+def _threshold_gap(n: int, A: float) -> float:
+    """Margin of the refined bound's provability condition at amplitude A.
+
+    n = 1: 1/2 - Q(2A) - 2A / (sqrt(2 pi e) + 2A), the paper's scalar
+    condition.  n >= 2: 1 - Q_n(A, A) - Vol(A) / ((2 pi)^{n/2} k_n(A) +
+    Vol(A)), where 1 - Q_n(A, A) = P(|A e_1 + Z|^2 <= A^2) is the noncentral
+    chi-square CDF with n degrees of freedom and noncentrality A^2, taken in
+    closed form: subtracting a quadrature Q_n from 1 cancels to rounding
+    noise at small A and large n.
+    """
+    if n == 1:
+        s = math.sqrt(2.0 * math.pi * math.e)
+        return 0.5 - float(q_func(2.0 * A)) - 2.0 * A / (s + 2.0 * A)
+    lhs = float(special.chndtr(A * A, n, A * A))
+    v = radial.vol_ball(n, A)
+    return lhs - v / ((2.0 * math.pi) ** (0.5 * n) * radial.k_n_closed(n, A) + v)
+
+
+# relative part of _bisect's stopping test, scipy.optimize.bisect's default
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f on [lo, hi], given f(lo) > 0 > f(hi), by bisection.
+
+    Step for step scipy.optimize.bisect: halve dm, set xm = lo + dm, and stop
+    once |dm| < xtol + 4 eps |xm|, so the roots are bit-identical to it.
+    """
+    flo = f(lo)
+    dm = hi - lo
+    while True:
+        dm *= 0.5
+        xm = lo + dm
+        fm = f(xm)
+        if fm * flo >= 0:
+            lo = xm
+        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+
+
 @lru_cache(maxsize=None)
 def amplitude_threshold(n: int) -> float:
     """Largest amplitude A*_n for which the refined bound is provable.
 
-    A*_n is the smallest positive solution of
-    1 - Q_n(A, A) = Vol(A) / ((2 pi)^{n/2} k_n(A) + Vol(A)); bisection over
-    (1e-3, 50) to 1e-9.  A*_1 ~ 2.066, A*_2 ~ 2.364, A*_4 ~ 4.979.
-    1 - Q_n(A, A) = P(|A e_1 + Z|^2 <= A^2) is the noncentral chi-square
-    CDF with n degrees of freedom and noncentrality A^2, taken in closed
-    form: subtracting the quadrature Q_n from 1 cancels to rounding noise
-    at small A and large n.
+    A*_n is the smallest positive root of _threshold_gap(n, .): bisection
+    over (0.5, 5) to 1e-12 for n = 1, over (1e-3, 50) to 1e-9 otherwise.
+    A*_1 ~ 2.066, A*_2 ~ 2.364, A*_4 ~ 4.979.
     """
-    if n == 1:
-        return _amplitude_threshold_1d()
-
-    def gap(A):
-        lhs = float(special.chndtr(A * A, n, A * A))
-        v = radial.vol_ball(n, A)
-        rhs = v / ((2.0 * math.pi) ** (0.5 * n) * radial.k_n_closed(n, A) + v)
-        return lhs - rhs
-
-    lo, hi = 1e-3, 50.0
-    flo, fhi = gap(lo), gap(hi)
-    if not (flo > 0 > fhi):
+    lo, hi, xtol = (0.5, 5.0, 1e-12) if n == 1 else (1e-3, 50.0, 1e-9)
+    flo, fhi = _threshold_gap(n, lo), _threshold_gap(n, hi)
+    if not flo > 0 > fhi:
         raise RuntimeError(
             f"threshold bracket failed for n={n}: gap({lo})={flo:.3g}, "
             f"gap({hi})={fhi:.3g}")
-    return float(optimize.bisect(gap, lo, hi, xtol=1e-9))
+    return _bisect(lambda A: _threshold_gap(n, A), lo, hi, xtol)
 
 
 def refined_nd(n: int, P: float) -> BoundPoint:
@@ -228,13 +193,7 @@ def refined_nd(n: int, P: float) -> BoundPoint:
     its own threshold.
     """
     A = ChannelConfig.from_snr(n, P).A
-    return _refined_point(n, P, RadialFunctions(n, A))
-
-
-def _refined_point(n: int, P: float, rf: RadialFunctions) -> BoundPoint:
-    """refined_nd on the radial functions rf of the channel A = sqrt(nP)."""
-    A = rf.A
-    q, g = rf.pair(A)
+    q, g = RadialFunctions(n, A).pair(A)
     g_tilde = 0.5 * n * q - g
     beta = 1.0 - q
     nats = ((1.0 - beta) * math.log(radial.k_n_closed(n, A))
@@ -254,11 +213,7 @@ def beta_star(n: int, A: float) -> float:
     which solves D_n(beta, 0) = D_n(beta, A) exactly.  c_n(A) -> -1/2 as
     A -> inf, so beta* approaches the McKellips-type mixing weight.
     """
-    return _beta_star(n, A, RadialFunctions(n, A))
-
-
-def _beta_star(n: int, A: float, rf: RadialFunctions) -> float:
-    """beta_star on the endpoint values of rf, which callers share."""
+    rf = RadialFunctions(n, A)
     q0, g0 = rf.pair(0.0)
     qA, gA = rf.pair(A)
     denom = q0 - qA
@@ -290,10 +245,10 @@ def _golden_min(fun, lo: float, hi: float, tol: float):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int = 40):
+def _golden_max(fun, lo: float, hi: float, iters: int) -> float:
     neg = lambda t: -fun(t)
-    t, f = _golden_min(neg, lo, hi, tol=max((hi - lo) * 0.618 ** iters, 1e-300))
-    return t, -f
+    _, f = _golden_min(neg, lo, hi, tol=max((hi - lo) * 0.618 ** iters, 1e-300))
+    return -f
 
 
 _X_GRID_POINTS = 513
@@ -322,50 +277,46 @@ class MinmaxDetail:
         return self.interior_excess > 1e-7
 
 
-def _minmax_conjectured(n, A, rf) -> tuple[float, float]:
+def _minmax_conjectured(n: int, A: float) -> tuple[float, float]:
     """min over beta of max(D_n(beta,0), D_n(beta,A)), assuming endpoint max.
 
     The minimum is either at the crossing beta* or at the per-endpoint
     minimizers beta_hat(x) = 1 - Q_n(x, A), whichever candidate is least.
     """
-    q0, _ = rf.pair(0.0)
-    qA, _ = rf.pair(A)
-    bs = _beta_star(n, A, rf)
-    b0 = min(max(1.0 - q0, 1e-12), 1.0 - 1e-12)
-    bA = min(max(1.0 - qA, 1e-12), 1.0 - 1e-12)
+    rf = RadialFunctions(n, A)
+    bs = beta_star(n, A)
+    b0 = min(max(1.0 - rf.q(0.0), 1e-12), 1.0 - 1e-12)
+    bA = min(max(1.0 - rf.q(A), 1e-12), 1.0 - 1e-12)
     cands = [
-        (d_n(n, bs, A, A, rf), bs),
-        (max(d_n(n, b0, 0.0, A, rf), d_n(n, b0, A, A, rf)), b0),
-        (max(d_n(n, bA, 0.0, A, rf), d_n(n, bA, A, A, rf)), bA),
+        (d_n(n, bs, A, A), bs),
+        (max(d_n(n, b0, 0.0, A), d_n(n, b0, A, A)), b0),
+        (max(d_n(n, bA, 0.0, A), d_n(n, bA, A, A)), bA),
     ]
     val, beta = min(cands, key=lambda t: t[0])
     return val, beta
 
 
-def _max_over_x(first, coeff, Q, G, xs, rf, refine: bool, rounds: int = 3):
+def _max_over_x(first, coeff, Q, G, xs, pair) -> float:
     """max_x of first + coeff*Q_n(x) + g_n(x) over the x grid, refined locally.
 
-    Grid argmax first, then golden-section bracket shrinking inside the two
-    neighboring grid cells; each extra evaluation can only sharpen the
-    maximum, so the refinement never weakens the bound.
+    Grid argmax first, then three golden-section rounds inside the two
+    neighboring grid cells, with pair(x) = (Q_n(x), g_n(x)); each extra
+    evaluation can only sharpen the maximum, so the refinement never weakens
+    the bound.
     """
     vals = first + coeff * Q + G
     i = int(np.argmax(vals))
-    best = float(vals[i])
-    if not refine or len(xs) < 3:
-        return best, float(xs[i]), best
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, len(xs) - 1)]
 
     def along(x):
-        q, g = rf.grid_pair(x)
+        q, g = pair(x)
         return first + coeff * q + g
 
-    xr, fr = _golden_max(along, lo, hi, iters=rounds)
-    return max(best, fr), (xr if fr > best else float(xs[i])), best
+    return max(float(vals[i]), _golden_max(along, lo, hi, iters=3))
 
 
-def _minmax_verified(n, A, rf) -> tuple[float, float, float]:
+def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
     """min over beta of max over x of D_n(beta, x) on the closed-form grid.
 
     Golden-section over beta on (0, 1) against 513 x values, each maximum
@@ -374,16 +325,24 @@ def _minmax_verified(n, A, rf) -> tuple[float, float, float]:
     larger endpoint value.
     """
     xs = np.linspace(0.0, A, _X_GRID_POINTS)
-    Q, G = rf.grid(xs)
+    Q, G = radial.radial_pair_ncx2(n, xs, A)
+    # the refinement revisits a few x across the beta search (6 to 12
+    # distinct x among about 250 lookups), so each is evaluated once
+    memo: dict[float, tuple[float, float]] = {}
+
+    def pair(x):
+        if x not in memo:
+            q, g = radial.radial_pair_ncx2(n, [x], A)
+            memo[x] = (float(q[0]), float(g[0]))
+        return memo[x]
 
     def worst_case(beta):
         first, coeff = _dn_terms(n, beta, A)
-        val, _, _ = _max_over_x(first, coeff, Q, G, xs, rf, refine=True)
-        return val
+        return _max_over_x(first, coeff, Q, G, xs, pair)
 
     beta_v, val_v = _golden_min(worst_case, 1e-6, 1.0 - 1e-6, tol=1e-8)
     first, coeff = _dn_terms(n, beta_v, A)
-    refined_max, _, _ = _max_over_x(first, coeff, Q, G, xs, rf, refine=True)
+    refined_max = _max_over_x(first, coeff, Q, G, xs, pair)
     endpoint_max = max(first + coeff * Q[0] + G[0],
                        first + coeff * Q[-1] + G[-1])
     return val_v, beta_v, refined_max - endpoint_max
@@ -398,9 +357,8 @@ def minmax_dual_detail(n: int, A: float) -> MinmaxDetail:
     with local refinement, radial values in closed form) and records
     whether an interior x ever beat the endpoints at the optimum.
     """
-    rf = RadialFunctions(n, A)
-    conj_val, conj_beta = _minmax_conjectured(n, A, rf)
-    val_v, beta_v, excess = _minmax_verified(n, A, rf)
+    conj_val, conj_beta = _minmax_conjectured(n, A)
+    val_v, beta_v, excess = _minmax_verified(n, A)
     return MinmaxDetail(n=n, A=A, conjectured_nats=conj_val,
                         verified_nats=val_v, beta_conjectured=conj_beta,
                         beta_verified=beta_v, interior_excess=excess)
@@ -413,17 +371,11 @@ def minmax_dual(n: int, A: float, conjecture: bool = True) -> BoundPoint:
     runs the grid-verified optimization alone.  minmax_dual_detail exposes
     both values plus the interior-vs-endpoint excess for conjecture checking.
     """
-    return _minmax_point(n, A, conjecture, RadialFunctions(n, A))
-
-
-def _minmax_point(n: int, A: float, conjecture: bool,
-                  rf: RadialFunctions) -> BoundPoint:
-    """minmax_dual on the radial functions rf of the channel (n, A)."""
     if conjecture:
-        nats, _ = _minmax_conjectured(n, A, rf)
+        nats, _ = _minmax_conjectured(n, A)
         bound_id = "minmax_conjectured"
     else:
-        nats, _, _ = _minmax_verified(n, A, rf)
+        nats, _, _ = _minmax_verified(n, A)
         bound_id = "minmax_verified"
     P = A ** 2 / n
     # divergences are nonnegative; clip quadrature noise at vanishing SNR
@@ -441,13 +393,11 @@ def envelope(n: int, P: float, conjecture: bool = True) -> BoundPoint:
     settles ties.
     """
     A = ChannelConfig.from_snr(n, P).A
-    # refined and min-max read the same endpoint values
-    rf = RadialFunctions(n, A)
     cands = [(avg_power(n, P), "avg_power"), (mckellips_nd(n, P), "mckellips")]
-    pt = refined_1d(P) if n == 1 else _refined_point(n, P, rf)
+    pt = refined_1d(P) if n == 1 else refined_nd(n, P)
     if pt.valid:
         cands.append((pt.rate_bits, "refined"))
-    mm = _minmax_point(n, A, conjecture, rf)
+    mm = minmax_dual(n, A, conjecture)
     cands.append((mm.rate_bits, mm.bound_id))
     rate, achiever = min(cands, key=lambda t: t[0])
     return BoundPoint(snr_db=10.0 * math.log10(P), rate_bits=rate,

@@ -2,7 +2,7 @@
 
 Each suite returns a list of CheckResult records; the CLI renders them and
 exits nonzero if any check fails.  Checks call through the module globals
-(e.g. radial.g_tilde_n) so fault-injection tests can patch a single function
+(e.g. oracles.g_tilde_n) so fault-injection tests can patch a single function
 and watch the right suite fail.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from . import lower_bounds, radial, specfun, upper_bounds
+from . import lower_bounds, oracles, radial, specfun, upper_bounds
 from .specfun import LN2
 
 SUITES = ("specfun", "radial", "upper", "lower", "all")
@@ -70,7 +70,7 @@ def suite_specfun(seed: int = 0) -> list[CheckResult]:
                        "x/(1+x^2) psi < Q < psi/x on 200 random x in (0,10]",
                        larger_ok=True))
 
-    worst = max(abs(specfun.marcum_q1(a, 0.0) - 1.0)
+    worst = max(abs(oracles.marcum_q1(a, 0.0) - 1.0)
                 for a in (0.0, 0.5, 1.0, 5.0, 20.0))
     out.append(_result("specfun", "marcum_b0_is_one", worst, 1e-12,
                        "Q_1(a, 0) = 1"))
@@ -92,7 +92,7 @@ def suite_specfun(seed: int = 0) -> list[CheckResult]:
 
     vals = [specfun.tilde_i_n_scaled(n, 1e4) for n in range(2, 9)]
     vals += [float(specfun.bessel_i0_scaled(1e4)),
-             float(specfun.q_func(1e2)), specfun.marcum_q1(1e2, 1e2)]
+             float(specfun.q_func(1e2)), oracles.marcum_q1(1e2, 1e2)]
     finite = all(math.isfinite(v) for v in vals)
     out.append(_result("specfun", "scaled_functions_finite_at_1e4",
                        0.0 if finite else math.inf, 0.5,
@@ -113,7 +113,7 @@ def suite_radial(seed: int = 0) -> list[CheckResult]:
     for n in dims:
         for A in amps:
             for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-                worst = min(worst, radial.g_tilde_n(n, frac * A, A))
+                worst = min(worst, oracles.g_tilde_n(n, frac * A, A))
     out.append(_result("radial", "g_tilde_positive", worst, 0.0,
                        "min over n in 2..6, A in {0.25,1,2,5,10}, 5 x-values",
                        larger_ok=True))
@@ -131,13 +131,13 @@ def suite_radial(seed: int = 0) -> list[CheckResult]:
     for n in range(1, 9):
         for A in (0.1, 1.0, 5.0, 20.0):
             c = radial.k_n_closed(n, A)
-            worst = max(worst, abs(c - radial.k_n_numeric(n, A)) / c)
+            worst = max(worst, abs(c - oracles.k_n_numeric(n, A)) / c)
     out.append(_result("radial", "k_n_closed_vs_numeric", worst, 1e-8))
 
     worst = 0.0
     for x, A in ((0.0, 0.5), (0.3, 0.5), (1.0, 2.0), (2.0, 2.0), (0.5, 3.0),
                  (3.0, 3.0), (2.0, 6.0)):
-        worst = max(worst, abs(radial.q_n(2, x, A) - specfun.marcum_q1(x, A)))
+        worst = max(worst, abs(oracles.q_n(2, x, A) - oracles.marcum_q1(x, A)))
     out.append(_result("radial", "q2_equals_marcum", worst, 1e-9))
 
     worst = 0.0
@@ -157,8 +157,8 @@ def suite_radial(seed: int = 0) -> list[CheckResult]:
         for A in (0.5, 2.0, 6.0):
             for frac in (0.0, 0.5, 1.0):
                 x = frac * A
-                lhs = radial.g_tilde_n(n, x, A)
-                rhs = 0.5 * n * radial.q_n(n, x, A) - radial.g_n(n, x, A)
+                lhs = oracles.g_tilde_n(n, x, A)
+                rhs = 0.5 * n * oracles.q_n(n, x, A) - oracles.g_n(n, x, A)
                 worst = max(worst, abs(lhs - rhs))
     out.append(_result("radial", "g_tilde_identity", worst, 1e-9,
                        "gtilde = (n/2) Q - g by independent quadratures"))
@@ -202,25 +202,16 @@ def divergence_direct_nd(n: int, beta: float, x: float, A: float) -> float:
     lv = radial.log_vol_ball(n, A)
     lk = math.log(radial.k_n_closed(n, A))
 
-    glr, glw = np.polynomial.legendre.leggauss(30)
-
-    def panel(a, b, m):
-        edges = np.linspace(a, b, m + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        t = (mid[:, None] + half[:, None] * glr[None, :]).ravel()
-        w = (half[:, None] * glw[None, :]).ravel()
-        return t, w
-
     rmax = max(x + 14.0, A + 2.0)
-    r1, w1 = panel(1e-12, A, max(8, int(math.ceil(A * 3))))
-    r2, w2 = panel(A, rmax, max(8, int(math.ceil((rmax - A) * 3))))
+    r1, w1 = radial._panel_grid(1e-12, A, max(8, int(math.ceil(A * 3))), 30)
+    r2, w2 = radial._panel_grid(
+        A, rmax, max(8, int(math.ceil((rmax - A) * 3))), 30)
     r = np.concatenate([r1, r2])
     wr = np.concatenate([w1, w2])
     logq = np.where(r <= A, math.log(beta) - lv,
                     math.log1p(-beta) - lk - 0.5 * n * specfun.LN_2PI
                     - 0.5 * np.square(r - A))
-    phi, wp = panel(0.0, math.pi, 24)
+    phi, wp = radial._panel_grid(0.0, math.pi, 24, 30)
 
     expo = -0.5 * (r[:, None] ** 2 + x * x - 2.0 * r[:, None] * x
                    * np.cos(phi[None, :]))
@@ -237,10 +228,9 @@ def suite_upper(seed: int = 0) -> list[CheckResult]:
     for n in (1, 2, 4):
         for beta in (0.05, 0.3, 0.5, 0.7, 0.95):
             A = 2.0
-            rf = radial.RadialFunctions(n, A)
             for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
                 x = frac * A
-                closed = upper_bounds.d_n(n, beta, x, A, rf)
+                closed = upper_bounds.d_n(n, beta, x, A)
                 direct = (divergence_direct_1d(beta, x, A) if n == 1
                           else divergence_direct_nd(n, beta, x, A))
                 worst = max(worst, abs(closed - direct))
@@ -252,7 +242,7 @@ def suite_upper(seed: int = 0) -> list[CheckResult]:
         for beta in (0.2, 0.5, 0.8):
             A, x = 1.7, 1.7 * frac
             worst = max(worst, abs(upper_bounds.d_n(1, beta, x, A)
-                                   - upper_bounds.d1(beta, x, A)))
+                                   - oracles.d1(beta, x, A)))
     out.append(_result("upper", "d1_vs_generic_n1", worst, 1e-8, "nats"))
 
     worst = math.inf
@@ -261,9 +251,9 @@ def suite_upper(seed: int = 0) -> list[CheckResult]:
         rf = radial.RadialFunctions(n, A)
         for x in (0.0, 0.5 * A, A):
             bhat = 1.0 - rf.q(x)
-            d0 = upper_bounds.d_n(n, bhat, x, A, rf)
-            up = upper_bounds.d_n(n, min(bhat + eps, 1 - 1e-9), x, A, rf)
-            dn_ = upper_bounds.d_n(n, max(bhat - eps, 1e-9), x, A, rf)
+            d0 = upper_bounds.d_n(n, bhat, x, A)
+            up = upper_bounds.d_n(n, min(bhat + eps, 1 - 1e-9), x, A)
+            dn_ = upper_bounds.d_n(n, max(bhat - eps, 1e-9), x, A)
             worst = min(worst, up - d0, dn_ - d0)
     out.append(_result("upper", "beta_hat_minimizes_dn", worst, 0.0,
                        "D_n(beta_hat +/- 1e-3) >= D_n(beta_hat)", larger_ok=True))
@@ -300,9 +290,8 @@ def suite_upper(seed: int = 0) -> list[CheckResult]:
     worst = 0.0
     for n, A in ((2, 1.0), (2, 3.0), (4, 2.5)):
         bs = upper_bounds.beta_star(n, A)
-        rf = radial.RadialFunctions(n, A)
-        worst = max(worst, abs(upper_bounds.d_n(n, bs, 0.0, A, rf)
-                               - upper_bounds.d_n(n, bs, A, A, rf)))
+        worst = max(worst, abs(upper_bounds.d_n(n, bs, 0.0, A)
+                               - upper_bounds.d_n(n, bs, A, A)))
     out.append(_result("upper", "beta_star_equalizes_endpoints", worst, 1e-9,
                        "D_n(beta*, 0) = D_n(beta*, A)"))
     return out
@@ -322,13 +311,8 @@ _PANEL, _ARC = 0.75, 0.35
 
 def _gl_nodes(lo: float, hi: float):
     """Gauss-Legendre nodes and weights on [lo, hi], panels <= _PANEL wide."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(_GL_ORDER)
-    edges = np.linspace(lo, hi, int(math.ceil((hi - lo) / _PANEL)) + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    w = (half[:, None] * gl_w[None, :]).ravel()
-    return x, w
+    return radial._panel_grid(lo, hi, int(math.ceil((hi - lo) / _PANEL)),
+                              _GL_ORDER)
 
 
 def _entropy_quad_1d(points, logw):

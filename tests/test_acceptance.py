@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from awgncap import lower_bounds as lb
-from awgncap import radial, specfun, upper_bounds
+from awgncap import oracles, radial, upper_bounds
 from awgncap.verify import divergence_direct_1d, divergence_direct_nd
 
 
@@ -24,7 +24,7 @@ def _upper_set(n: int, P: float) -> dict:
     A = math.sqrt(n * P)
     bounds = {
         "avg_power": 0.5 * n * math.log2(1.0 + P),
-        "mckellips": (upper_bounds.mckellips_1d(P) if n == 1
+        "mckellips": (oracles.mckellips_1d(P) if n == 1
                       else upper_bounds.mckellips_nd(n, P)),
         "minmax_conjectured": upper_bounds.minmax_dual(n, A, True).rate_bits,
     }
@@ -124,7 +124,7 @@ def test_criterion_3_validity_thresholds():
 
 def test_criterion_4_high_snr_asymptotes():
     P = 1e6
-    d1_off = abs(upper_bounds.mckellips_1d(P)
+    d1_off = abs(oracles.mckellips_1d(P)
                  - (0.5 * math.log2(P) + 0.5 * math.log2(2 / (math.pi * math.e))))
     d2_off = abs(upper_bounds.mckellips_nd(2, P) - math.log2(P / math.e))
     vol_gap = upper_bounds.mckellips_nd(2, P) - lb.volume_lower_bound(2, P)
@@ -140,7 +140,7 @@ def test_criterion_5_g_tilde_positivity():
     for n in range(2, 7):
         for A in (0.25, 1.0, 2.0, 5.0, 10.0):
             for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-                v = radial.g_tilde_n(n, frac * A, A)
+                v = oracles.g_tilde_n(n, frac * A, A)
                 worst = min(worst, v)
                 failures += v <= 0.0
     _report(5, failures == 0,
@@ -179,25 +179,24 @@ def test_criterion_7_packing_moments():
 def test_criterion_8_oracle_equivalences():
     worst_dn = 0.0
     for n in (1, 2, 4):
-        rf = radial.RadialFunctions(n, 2.0)
         for beta in (0.05, 0.3, 0.5, 0.7, 0.95):
             for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
                 x = 2.0 * frac
-                closed = upper_bounds.d_n(n, beta, x, 2.0, rf)
+                closed = upper_bounds.d_n(n, beta, x, 2.0)
                 direct = (divergence_direct_1d(beta, x, 2.0) if n == 1
                           else divergence_direct_nd(n, beta, x, 2.0))
                 worst_dn = max(worst_dn, abs(closed - direct))
 
-    worst_q2 = max(abs(radial.q_n(2, x, A) - specfun.marcum_q1(x, A))
+    worst_q2 = max(abs(oracles.q_n(2, x, A) - oracles.marcum_q1(x, A))
                    for x, A in ((0.0, 0.5), (1.0, 2.0), (2.0, 2.0),
                                 (0.5, 3.0), (3.0, 4.0)))
 
-    worst_kn = max(abs(radial.k_n_closed(n, A) - radial.k_n_numeric(n, A))
+    worst_kn = max(abs(radial.k_n_closed(n, A) - oracles.k_n_numeric(n, A))
                    / radial.k_n_closed(n, A)
                    for n in range(1, 9) for A in (0.1, 1.0, 5.0, 20.0))
 
     worst_d1 = max(abs(upper_bounds.d_n(1, b, f * 1.8, 1.8)
-                       - upper_bounds.d1(b, f * 1.8, 1.8))
+                       - oracles.d1(b, f * 1.8, 1.8))
                    for b in (0.2, 0.5, 0.8) for f in (0.0, 0.5, 1.0))
 
     ok = (worst_dn <= 1e-6 and worst_q2 <= 1e-9 and worst_kn <= 1e-8

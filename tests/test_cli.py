@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import awgncap
-from awgncap import cli, radial, verify
+from awgncap import cli, oracles, verify
 from awgncap.cli import available_bounds, compute_bound, main
 
 
@@ -51,6 +51,34 @@ class TestSweep:
         assert main(base + ["--out", str(ser)]) == 0
         assert main(base + ["--out", str(par), "--jobs", "2"]) == 0
         assert ser.read_bytes() == par.read_bytes()
+
+    def test_jobs_capped_by_grid_and_cores(self, tmp_path, monkeypatch):
+        # the pool starts all its workers at once: --jobs 100000 on a
+        # three-point grid must not ask for 100000 processes
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        args = ["sweep", "--dim", "1", "--snr-db-min", "0", "--snr-db-max",
+                "2", "--step", "1", "--bounds", "avg_power", "--jobs",
+                "100000", "--out", str(tmp_path / "s.csv")]
+        for cores, expected in ((8, [3]), (2, [2]), (1, []), (None, [])):
+            made.clear()
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+            assert main(args) == 0
+            assert made == expected, cores
 
     def test_refined_invalid_above_threshold(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -241,16 +269,27 @@ class TestListBounds:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m(self):
+    @staticmethod
+    def _run(*args):
         src = os.path.dirname(os.path.dirname(awgncap.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run([sys.executable, "-m", "awgncap",
-                               "--list-bounds"], capture_output=True,
+        done = subprocess.run([sys.executable, *args], capture_output=True,
                               text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert "minmax_verified" in done.stdout
+        return done.stdout
+
+    def test_python_dash_m(self):
+        assert "minmax_verified" in self._run("-m", "awgncap", "--list-bounds")
+
+    def test_import_loads_no_quadrature(self):
+        # the bounds need only numpy and scipy.special; quadrature, root
+        # finding and the property suites load when a command asks for them
+        out = self._run("-c", "import sys, awgncap, awgncap.cli; print(sorted("
+                        "{'scipy.integrate', 'scipy.optimize', "
+                        "'awgncap.verify'} & set(sys.modules)))")
+        assert out.strip() == "[]"
 
 
 class TestVerifyCommand:
@@ -270,12 +309,12 @@ class TestVerifyCommand:
         assert first == second
 
     def test_sign_flip_trips_positivity(self, monkeypatch, capsys):
-        real = radial.g_tilde_n
+        real = oracles.g_tilde_n
 
-        def flipped(n, x, A, spec=radial.DEFAULT_QUAD):
-            return -real(n, x, A, spec)
+        def flipped(n, x, A):
+            return -real(n, x, A)
 
-        monkeypatch.setattr(radial, "g_tilde_n", flipped)
+        monkeypatch.setattr(oracles, "g_tilde_n", flipped)
         rc = main(["verify", "--suite", "radial"])
         out = capsys.readouterr().out
         assert rc == 1
@@ -288,6 +327,8 @@ class TestSweepRequest:
             cli.SweepRequest(1, 5.0, 0.0, 1.0, ("avg_power",), "x.csv")
         with pytest.raises(ValueError):
             cli.SweepRequest(1, 0.0, 5.0, 0.0, ("avg_power",), "x.csv")
+        with pytest.raises(ValueError, match="step"):
+            cli.SweepRequest(1, -10.0, 30.0, 1e-12, ("avg_power",), "x.csv")
         with pytest.raises(ValueError):
             cli.SweepRequest(1, 0.0, 5.0, 1.0, (), "x.csv")
         with pytest.raises(ValueError):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from awgncap import radial, specfun
-from awgncap.radial import QuadratureSpec, RadialFunctions
+from awgncap import oracles, radial, specfun
+from awgncap.radial import RadialFunctions
 
 
 class TestVolBall:
@@ -39,24 +39,24 @@ class TestShellNormalizer:
     def test_k1_is_one(self):
         for A in (0.2, 1.0, 7.0):
             assert radial.k_n_closed(1, A) == pytest.approx(1.0, rel=1e-15)
-            assert radial.k_n_numeric(1, A) == pytest.approx(1.0, rel=1e-12)
+            assert oracles.k_n_numeric(1, A) == pytest.approx(1.0, rel=1e-12)
 
     def test_k2_closed_form(self):
         for A in (0.5, 2.0):
             expected = 1.0 + math.sqrt(math.pi / 2.0) * A
             assert radial.k_n_closed(2, A) == pytest.approx(expected, rel=1e-15)
-            assert radial.k_n_numeric(2, A) == pytest.approx(expected, rel=1e-11)
+            assert oracles.k_n_numeric(2, A) == pytest.approx(expected, rel=1e-11)
 
     def test_closed_vs_numeric_grid(self):
         for n in range(1, 9):
             for A in (0.1, 1.0, 5.0, 20.0):
                 c = radial.k_n_closed(n, A)
-                assert radial.k_n_numeric(n, A) == pytest.approx(c, rel=1e-8)
+                assert oracles.k_n_numeric(n, A) == pytest.approx(c, rel=1e-8)
 
     def test_specific_cross_check(self):
-        assert radial.k_n_numeric(4, 1.0) == pytest.approx(
+        assert oracles.k_n_numeric(4, 1.0) == pytest.approx(
             radial.k_n_closed(4, 1.0), rel=1e-9)
-        assert radial.k_n_numeric(6, 0.5) == pytest.approx(
+        assert oracles.k_n_numeric(6, 0.5) == pytest.approx(
             radial.k_n_closed(6, 0.5), rel=1e-9)
 
 
@@ -78,38 +78,38 @@ def _riemann_oracle(n, x, A, weight, m=400000):
 class TestRadialTail:
     def test_q2_reduces_to_marcum(self):
         for x, A in ((1.0, 2.0), (2.0, 2.0), (0.5, 3.0)):
-            assert radial.q_n(2, x, A) == pytest.approx(
-                specfun.marcum_q1(x, A), abs=1e-9)
+            assert oracles.q_n(2, x, A) == pytest.approx(
+                oracles.marcum_q1(x, A), abs=1e-9)
 
     def test_vanishing_amplitude_limit(self):
-        assert radial.q_n(2, 0.0, 1e-9) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.q_n(2, 0.0, 1e-9) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_dim_against_riemann(self):
-        val = radial.q_n(3, 1.0, 1.0)
+        val = oracles.q_n(3, 1.0, 1.0)
         assert 0.0 < val < 1.0
         assert val == pytest.approx(_riemann_oracle(3, 1.0, 1.0,
                                                     lambda z: 1.0), rel=1e-8)
 
     def test_g_n_nonnegative_and_oracle(self):
-        assert radial.g_n(4, 2.0, 2.0) >= 0.0
-        assert radial.g_n(4, 2.0, 2.0) == pytest.approx(
+        assert oracles.g_n(4, 2.0, 2.0) >= 0.0
+        assert oracles.g_n(4, 2.0, 2.0) == pytest.approx(
             _riemann_oracle(4, 2.0, 2.0, lambda z: 0.5 * (z - 2.0) ** 2),
             rel=1e-8)
 
     def test_identity_at_4_2_2(self):
-        lhs = radial.g_tilde_n(4, 2.0, 2.0)
-        rhs = 2.0 * radial.q_n(4, 2.0, 2.0) - radial.g_n(4, 2.0, 2.0)
+        lhs = oracles.g_tilde_n(4, 2.0, 2.0)
+        rhs = 2.0 * oracles.q_n(4, 2.0, 2.0) - oracles.g_n(4, 2.0, 2.0)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            radial.q_n(2, -0.1, 1.0)
+            oracles.q_n(2, -0.1, 1.0)
         with pytest.raises(ValueError):
-            radial.q_n(2, 1.5, 1.0)
+            oracles.q_n(2, 1.5, 1.0)
         with pytest.raises(ValueError):
-            radial.q_n(2, 0.5, -1.0)
+            oracles.q_n(2, 0.5, -1.0)
         with pytest.raises(ValueError):
-            radial.g_n(0, 0.0, 1.0)
+            oracles.g_n(0, 0.0, 1.0)
 
 
 class TestPositivityAndMonotonicity:
@@ -118,13 +118,13 @@ class TestPositivityAndMonotonicity:
         for n in range(2, 7):
             for A in (0.25, 1.0, 2.0, 5.0, 10.0):
                 for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    assert radial.g_tilde_n(n, frac * A, A) > 0.0
+                    assert oracles.g_tilde_n(n, frac * A, A) > 0.0
 
         # 2-D positivity on random (x, A) pairs
         for _ in range(50):
             A = rng.uniform(0.1, 6.0)
             x = rng.uniform(0.0, A)
-            assert radial.g_tilde_n(2, x, A) > 0.0
+            assert oracles.g_tilde_n(2, x, A) > 0.0
 
     def test_q_and_g_nondecreasing(self):
         for pair in (radial.radial_pair_grid, radial.radial_pair_ncx2):
@@ -141,8 +141,8 @@ class TestGridEvaluator:
         xs = np.linspace(0.0, 3.0, 9)
         Q, G = radial.radial_pair_grid(4, xs, 3.0)
         for x, q, g in zip(xs, Q, G):
-            assert q == pytest.approx(radial.q_n(4, float(x), 3.0), abs=1e-10)
-            assert g == pytest.approx(radial.g_n(4, float(x), 3.0), abs=1e-10)
+            assert q == pytest.approx(oracles.q_n(4, float(x), 3.0), abs=1e-10)
+            assert g == pytest.approx(oracles.g_n(4, float(x), 3.0), abs=1e-10)
 
     def test_cache_and_identity(self):
         rf = RadialFunctions(3, 2.0)
@@ -150,7 +150,7 @@ class TestGridEvaluator:
         q2, g2 = rf.pair(1.0)
         assert (q1, g1) == (q2, g2)
         assert rf.g_tilde(1.0) == pytest.approx(1.5 * q1 - g1, rel=1e-12)
-        assert rf.g_tilde(1.0) == pytest.approx(radial.g_tilde_n(3, 1.0, 2.0),
+        assert rf.g_tilde(1.0) == pytest.approx(oracles.g_tilde_n(3, 1.0, 2.0),
                                                 abs=1e-9)
 
     def test_empty_grid(self):
@@ -402,27 +402,12 @@ class TestClosedFormNcx2:
         assert np.all(np.diff(Q) >= -1e-12) and np.all(np.diff(G) >= -1e-9)
 
     def test_grid_and_scalar_route_agree(self):
-        rf = RadialFunctions(4, 6.0)
         xs = np.linspace(0.0, 6.0, 17)
-        Q, G = rf.grid(xs)
+        Q, G = radial.radial_pair_ncx2(4, xs, 6.0)
         for x, q, g in zip(xs, Q, G):
-            assert rf.grid_pair(x) == pytest.approx((q, g), rel=1e-14,
-                                                    abs=1e-300)
-
-
-class TestQuadratureSpec:
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(truncation_sigma=4.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=5)
-
-    def test_custom_spec_accepted(self):
-        spec = QuadratureSpec(rel_tol=1e-8, truncation_sigma=12.0)
-        assert radial.q_n(2, 1.0, 2.0, spec) == pytest.approx(
-            specfun.marcum_q1(1.0, 2.0), abs=1e-7)
+            q1, g1 = radial.radial_pair_ncx2(4, [x], 6.0)
+            assert (q1[0], g1[0]) == pytest.approx((q, g), rel=1e-14,
+                                                   abs=1e-300)
 
 
 class TestQuadratureError:

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
-from awgncap import cli, lower_bounds, radial, specfun, upper_bounds
-from awgncap.upper_bounds import (ChannelConfig, TestDensityParams,
-                                  amplitude_threshold, beta_star, d1, d_n,
-                                  envelope, mckellips_1d, mckellips_nd,
+from awgncap import cli, lower_bounds, oracles, radial, upper_bounds
+from awgncap.oracles import d1, mckellips_1d
+from awgncap.upper_bounds import (ChannelConfig, amplitude_threshold,
+                                  beta_star, d_n, envelope, mckellips_nd,
                                   minmax_dual, minmax_dual_detail, refined_1d,
                                   refined_nd)
 from awgncap.verify import divergence_direct_1d, divergence_direct_nd
@@ -33,10 +33,9 @@ class TestChannelConfig:
             ChannelConfig(n=0, A=1.0)
         with pytest.raises(ValueError):
             ChannelConfig(n=2, A=0.0)
-        with pytest.raises(ValueError):
-            TestDensityParams(beta=0.0)
-        with pytest.raises(ValueError):
-            TestDensityParams(beta=1.0)
+        for beta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="beta"):
+                d_n(2, beta, 0.5, 1.0)
 
     def test_rejects_non_finite_amplitude_and_snr(self):
         for A in (math.inf, math.nan, -2.0):
@@ -77,9 +76,6 @@ class TestScalarDivergence:
         val = d1(0.5, 1.0, 2.0)
         direct = divergence_direct_1d(0.5, 1.0, 2.0)
         assert val == pytest.approx(direct, abs=1e-9)
-
-    def test_accepts_params_object(self):
-        assert d1(TestDensityParams(0.5), 1.0, 2.0) == d1(0.5, 1.0, 2.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -139,7 +135,7 @@ def _d2_marcum_oracle(beta, x, A):
     first = math.log(A * A / (2.0 * math.e * beta))
     coeff = math.log(2.0 * (1.0 + math.sqrt(math.pi / 2.0) * A) * beta
                      / ((1.0 - beta) * A * A))
-    return first + coeff * specfun.marcum_q1(x, A) + g2
+    return first + coeff * oracles.marcum_q1(x, A) + g2
 
 
 class TestGeneralDivergence:
@@ -152,7 +148,7 @@ class TestGeneralDivergence:
             bound = math.log(k + v / (2.0 * math.pi * math.e) ** (0.5 * n))
             rf = radial.RadialFunctions(n, A)
             for x in np.linspace(0.0, A, 7):
-                val = d_n(n, beta, float(x), A, rf)
+                val = d_n(n, beta, float(x), A)
                 gt = rf.g_tilde(float(x))
                 assert val == pytest.approx(bound - gt, abs=1e-10)
                 assert val <= bound
@@ -211,10 +207,24 @@ class TestRefinedNd:
         def gap(A):
             v = radial.vol_ball(n, A)
             shell = (2.0 * math.pi) ** (0.5 * n) * radial.k_n_closed(n, A)
-            return 1.0 - radial.q_n(n, A, A) - v / (shell + v)
+            return 1.0 - oracles.q_n(n, A, A) - v / (shell + v)
 
         a = amplitude_threshold(n)
         assert gap(a - 1e-9) > 0.0 > gap(a + 1e-9)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 16, 32])
+    def test_threshold_matches_scipy_root_finders(self, n):
+        # the in-house bisection takes scipy.optimize.bisect's steps; A*_1
+        # was a brentq root
+        def gap(A):
+            return upper_bounds._threshold_gap(n, A)
+
+        if n == 1:
+            ref = optimize.brentq(gap, 0.5, 5.0, xtol=1e-12)
+            assert abs(amplitude_threshold(1) - ref) <= 1e-11
+        else:
+            assert amplitude_threshold(n) == optimize.bisect(gap, 1e-3, 50.0,
+                                                             xtol=1e-9)
 
     def test_high_dimension_threshold(self):
         # 1 - Q_16 by quadrature cancels to rounding noise at small A,
@@ -260,9 +270,8 @@ class TestBetaStar:
     def test_equalizes_endpoint_divergences(self):
         for n, A in ((1, 1.5), (2, 2.0), (4, 3.0)):
             bs = beta_star(n, A)
-            rf = radial.RadialFunctions(n, A)
-            assert d_n(n, bs, 0.0, A, rf) == pytest.approx(
-                d_n(n, bs, A, A, rf), abs=1e-9)
+            assert d_n(n, bs, 0.0, A) == pytest.approx(d_n(n, bs, A, A),
+                                                       abs=1e-9)
 
 
 class TestMinmax:
@@ -296,10 +305,9 @@ class TestMinmax:
         k = radial.k_n_closed(n, A)
         beta = v / (v + (2.0 * math.pi * math.e) ** (0.5 * n) * k)
         bound = math.log(k + v / (2.0 * math.pi * math.e) ** (0.5 * n))
-        rf = radial.RadialFunctions(n, A)
         xs = np.linspace(0.0, A, 257)
-        Q, G = rf.grid(xs)
-        vals = [d_n(n, beta, float(x), A, rf) for x in xs]
+        Q, G = radial.radial_pair_ncx2(n, xs, A)
+        vals = [d_n(n, beta, float(x), A) for x in xs]
         gt_min = float(np.min(0.5 * n * Q - G))
         assert max(vals) == pytest.approx(bound - gt_min, abs=1e-9)
         assert max(vals) <= bound
@@ -331,7 +339,6 @@ class TestMinmax:
             raise OverflowError("beta_star must not be called")
 
         monkeypatch.setattr(upper_bounds, "beta_star", fail)
-        monkeypatch.setattr(upper_bounds, "_beta_star", fail)
         pt = minmax_dual(3, math.sqrt(3 * 10.0 ** -3), conjecture=False)
         assert pt.bound_id == "minmax_verified" and pt.rate_bits > 0.0
         with pytest.raises(OverflowError):
