@@ -1,10 +1,11 @@
 """Command-line front end: SNR sweeps to CSV, point queries, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a bound the
-numerics cannot evaluate (a QuadratureError, e.g. the radial integrals at
-100 dB), reported on one "error:" line.  CSV output is deterministic: fixed
-12-significant-digit formatting, rows sorted by (snr_db, bound_id), parallel
-workers assembled in input order.
+numerics cannot evaluate (an ArithmeticError or RuntimeError, e.g. beta*
+overflowing at low SNR or a QuadratureError at 100 dB), reported on one
+"error:" line.  CSV output is deterministic: fixed 12-significant-digit
+formatting, rows sorted by (snr_db, bound_id), parallel workers assembled in
+input order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import lower_bounds, upper_bounds
-from .radial import ChannelConfig, QuadratureError
+from .radial import ChannelConfig
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,13 @@ def _point_rows(args):
     return rows
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".12g")
+def _write_csv(fh, rows) -> None:
+    """The CSV header, then one line per row of _point_rows."""
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(["snr_db", "bound_id", "rate_bits", "valid", "achiever"])
+    for snr_db, bound_id, rate, valid, achiever in rows:
+        w.writerow([format(snr_db, ".12g"), bound_id, format(rate, ".12g"),
+                    "true" if valid else "false", achiever])
 
 
 # a longer grid is a mistyped --step, not a sweep anyone waits for
@@ -157,11 +163,7 @@ def sweep(req: SweepRequest) -> None:
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r[0], r[1]))
     with open(req.output_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["snr_db", "bound_id", "rate_bits", "valid", "achiever"])
-        for snr_db, bound_id, rate, valid, achiever in rows:
-            w.writerow([_fmt(snr_db), bound_id, _fmt(rate),
-                        "true" if valid else "false", achiever])
+        _write_csv(fh, rows)
 
 
 def run_sweep(n: int, snr_db_min: float, snr_db_max: float, step: float,
@@ -260,10 +262,7 @@ def main(argv: list[str] | None = None) -> int:
                 ChannelConfig.from_snr_db(args.dim, snr_db)
             rows = _point_rows((args.dim, snr_db, _parse_bounds(args.bounds),
                                 args.per_dimension))
-            print("snr_db,bound_id,rate_bits,valid,achiever")
-            for snr, bound_id, rate, valid, achiever in rows:
-                print(f"{_fmt(snr)},{bound_id},{_fmt(rate)},"
-                      f"{'true' if valid else 'false'},{achiever}")
+            _write_csv(sys.stdout, rows)
             return 0
         if args.command == "verify":
             # the suites load scipy.integrate; the bounds need only special
@@ -275,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
             failures = sum(not r.passed for r in results)
             print(f"{len(results) - failures}/{len(results)} checks passed")
             return 1 if failures else 0
-    except (ValueError, OSError, QuadratureError) as exc:
+    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

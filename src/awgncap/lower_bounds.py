@@ -19,7 +19,7 @@ import numpy as np
 
 from . import radial
 from .radial import ChannelConfig
-from .specfun import LN2
+from .specfun import LN2, LN_2PI, LN_2PIE
 
 __all__ = [
     "Constellation", "ConstellationMoments", "MiEstimate",
@@ -28,9 +28,6 @@ __all__ = [
     "constellation_mi", "constellation_mi_mc", "pam_lower_bound_1d",
     "volume_lower_bound",
 ]
-
-LN_2PI = math.log(2.0 * math.pi)
-LN_2PIE = math.log(2.0 * math.pi * math.e)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from scipy import special
 
 from . import radial, specfun
 from .radial import ChannelConfig, QuadratureError
-from .specfun import LN2, gamma_half, q_func
-from .upper_bounds import LN_2PIE, avg_power
+from .specfun import LN2, LN_2PIE, gamma_half, q_func
+from .upper_bounds import avg_power
 
 __all__ = ["k_n_numeric", "q_n", "g_n", "g_tilde_n", "marcum_q1", "d1",
            "mckellips_1d"]

@@ -156,6 +156,15 @@ def _panel_grid(a: float, b: float, panels: int, order: int):
     return z, w
 
 
+def _grid_xs(n: int, xs, A: float):
+    """xs as a 1-D float array, for a valid channel and x values in [0, A]."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    ChannelConfig(n, A)
+    if np.any((xs < 0) | (xs > A * (1 + 1e-12))):
+        raise ValueError("grid x values must lie in [0, A]")
+    return xs
+
+
 def radial_pair_grid(n: int, xs, A: float):
     """(Q_n(x, A), g_n(x, A)) for a whole array of x values at once.
 
@@ -166,12 +175,9 @@ def radial_pair_grid(n: int, xs, A: float):
     Q_n leaves [0, 1] by more than 1e-12.  The endpoint bounds read it
     through RadialFunctions.pair.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ChannelConfig(n, A)
+    xs = _grid_xs(n, xs, A)
     if xs.size == 0:
         return np.empty(0), np.empty(0)
-    if np.any((xs < 0) | (xs > A * (1 + 1e-12))):
-        raise ValueError("grid x values must lie in [0, A]")
     if n == 1:
         Q = q_func(A - xs) + q_func(A + xs)
         G = 0.5 * Q + 0.5 * (g_edge(A - xs) + g_edge(A + xs))
@@ -340,12 +346,9 @@ def radial_pair_ncx2(n: int, xs, A: float):
     absolute up to A = 40; the subtraction in h_k costs g_n its relative
     accuracy in the deep tail (4e-8 where g_n ~ 1e-90 at A = 40, x = A/2).
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ChannelConfig(n, A)
+    xs = _grid_xs(n, xs, A)
     if xs.size == 0:
         return np.empty(0), np.empty(0)
-    if np.any((xs < 0) | (xs > A * (1 + 1e-12))):
-        raise ValueError("grid x values must lie in [0, A]")
     sigmas = _WINDOW_SIGMAS
     while True:
         lo, hi = _poisson_window(n, xs, A, sigmas)
@@ -371,9 +374,9 @@ def _endpoint_pair(n: int, A: float, x: float) -> tuple[float, float]:
 class RadialFunctions:
     """The endpoint radial values of one (n, A) channel instance.
 
-    pair(x) (and q, g_tilde) reads the panel rule radial_pair_grid, which is
-    the closed form for n = 1.  It feeds the endpoint bounds: refined, beta*
-    and minmax_conjectured.  When the worst case sits at x = A, refined and
+    pair(x) reads the panel rule radial_pair_grid, which is the closed form
+    for n = 1.  It feeds the endpoint bounds: refined, beta* and
+    minmax_conjectured.  When the worst case sits at x = A, refined and
     minmax_conjectured are algebraically equal, so rounding alone picks the
     envelope's achiever; the endpoint values stay bit-identical until the
     benchmark's achiever check (perfbench/check.py) is tie-aware.
@@ -393,10 +396,3 @@ class RadialFunctions:
     def pair(self, x: float) -> tuple[float, float]:
         """(Q_n(x, A), g_n(x, A)) with memoization."""
         return _endpoint_pair(self.n, self.A, float(x))
-
-    def q(self, x: float) -> float:
-        return self.pair(x)[0]
-
-    def g_tilde(self, x: float) -> float:
-        q, g = self.pair(x)
-        return 0.5 * self.n * q - g

@@ -14,6 +14,7 @@ from scipy import special
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 LN_2PI = math.log(2.0 * math.pi)
+LN_2PIE = math.log(2.0 * math.pi * math.e)
 LN2 = math.log(2.0)
 
 #: x above which the angular kernel switches from power series to quadrature.

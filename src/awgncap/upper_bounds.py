@@ -30,16 +30,13 @@ from scipy import special
 
 from . import radial
 from .radial import ChannelConfig, RadialFunctions
-from .specfun import LN2, binary_entropy_nats, q_func
+from .specfun import LN2, LN_2PI, LN_2PIE, binary_entropy_nats, q_func
 
 __all__ = [
     "ChannelConfig", "BoundPoint", "MinmaxDetail", "avg_power", "refined_1d",
     "d_n", "mckellips_nd", "refined_nd", "beta_star", "amplitude_threshold",
     "minmax_dual", "minmax_dual_detail", "envelope",
 ]
-
-LN_2PI = math.log(2.0 * math.pi)
-LN_2PIE = math.log(2.0 * math.pi * math.e)
 
 
 @dataclass(frozen=True)
@@ -92,13 +89,24 @@ def refined_1d(P: float) -> BoundPoint:
 # general dimension
 # ---------------------------------------------------------------------------
 
-def _dn_terms(n: int, beta: float, A: float):
-    """(beta-independent offset, coefficient of Q_n) of D_n in nats."""
+def _dn_terms(n: int, A: float):
+    """D_n's beta-dependent terms at one channel, as a function of beta.
+
+    log k_n(A) and log Vol(A) are computed once; the returned function maps
+    beta in (0, 1) to (offset, coefficient of Q_n) in nats, so that
+    D_n(beta, x) = offset + coefficient * Q_n(x, A) + g_n(x, A).
+    """
+    lk = math.log(radial.k_n_closed(n, A))  # checks the channel first
     lv = radial.log_vol_ball(n, A)
-    lk = math.log(radial.k_n_closed(n, A))
-    first = lv - 0.5 * n * LN_2PIE - math.log(beta)
-    coeff = 0.5 * n * LN_2PI + lk + math.log(beta) - math.log(1.0 - beta) - lv
-    return first, coeff
+
+    def terms(beta: float) -> tuple[float, float]:
+        if not 0.0 < beta < 1.0:
+            raise ValueError(f"beta must lie in (0, 1), got {beta}")
+        first = lv - 0.5 * n * LN_2PIE - math.log(beta)
+        coeff = 0.5 * n * LN_2PI + lk + math.log(beta) - math.log(1.0 - beta) - lv
+        return first, coeff
+
+    return terms
 
 
 def d_n(n: int, beta: float, x: float, A: float) -> float:
@@ -107,10 +115,8 @@ def d_n(n: int, beta: float, x: float, A: float) -> float:
     The n = 1 instance uses the exact closed-form radial reductions and
     agrees with oracles.d1 to floating-point accuracy.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    first, coeff = _dn_terms(n, A)(beta)
     q, g = RadialFunctions(n, A).pair(x)
-    first, coeff = _dn_terms(n, beta, A)
     return first + coeff * q + g
 
 
@@ -245,12 +251,6 @@ def _golden_min(fun, lo: float, hi: float, tol: float):
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _golden_max(fun, lo: float, hi: float, iters: int) -> float:
-    neg = lambda t: -fun(t)
-    _, f = _golden_min(neg, lo, hi, tol=max((hi - lo) * 0.618 ** iters, 1e-300))
-    return -f
-
-
 _X_GRID_POINTS = 513
 
 
@@ -283,69 +283,54 @@ def _minmax_conjectured(n: int, A: float) -> tuple[float, float]:
     The minimum is either at the crossing beta* or at the per-endpoint
     minimizers beta_hat(x) = 1 - Q_n(x, A), whichever candidate is least.
     """
-    rf = RadialFunctions(n, A)
     bs = beta_star(n, A)
-    b0 = min(max(1.0 - rf.q(0.0), 1e-12), 1.0 - 1e-12)
-    bA = min(max(1.0 - rf.q(A), 1e-12), 1.0 - 1e-12)
-    cands = [
-        (d_n(n, bs, A, A), bs),
-        (max(d_n(n, b0, 0.0, A), d_n(n, b0, A, A)), b0),
-        (max(d_n(n, bA, 0.0, A), d_n(n, bA, A, A)), bA),
-    ]
-    val, beta = min(cands, key=lambda t: t[0])
-    return val, beta
+    rf = RadialFunctions(n, A)
+    (q0, g0), (qA, gA) = rf.pair(0.0), rf.pair(A)
+    terms = _dn_terms(n, A)
 
+    def endpoints(beta):
+        first, coeff = terms(beta)
+        return first + coeff * q0 + g0, first + coeff * qA + gA
 
-def _max_over_x(first, coeff, Q, G, xs, pair) -> float:
-    """max_x of first + coeff*Q_n(x) + g_n(x) over the x grid, refined locally.
-
-    Grid argmax first, then three golden-section rounds inside the two
-    neighboring grid cells, with pair(x) = (Q_n(x), g_n(x)); each extra
-    evaluation can only sharpen the maximum, so the refinement never weakens
-    the bound.
-    """
-    vals = first + coeff * Q + G
-    i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-
-    def along(x):
-        q, g = pair(x)
-        return first + coeff * q + g
-
-    return max(float(vals[i]), _golden_max(along, lo, hi, iters=3))
+    b0 = min(max(1.0 - q0, 1e-12), 1.0 - 1e-12)
+    bA = min(max(1.0 - qA, 1e-12), 1.0 - 1e-12)
+    cands = [(endpoints(bs)[1], bs), (max(endpoints(b0)), b0),
+             (max(endpoints(bA)), bA)]
+    return min(cands, key=lambda t: t[0])
 
 
 def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
     """min over beta of max over x of D_n(beta, x) on the closed-form grid.
 
-    Golden-section over beta on (0, 1) against 513 x values, each maximum
-    refined locally (_max_over_x).  Returns the value, its beta and the
-    interior excess: how far the refined maximum at that beta exceeds the
-    larger endpoint value.
+    Golden-section over beta on (0, 1) minimizes the maximum over 513 x
+    values: every beta gives an upper bound, so the search needs only the
+    grid.  At the chosen beta, three golden-section rounds in the cells next
+    to the grid argmax refine the maximum, which can only raise it.  Returns
+    the value, its beta and the interior excess: how far that maximum
+    exceeds the larger endpoint value.
     """
     xs = np.linspace(0.0, A, _X_GRID_POINTS)
     Q, G = radial.radial_pair_ncx2(n, xs, A)
-    # the refinement revisits a few x across the beta search (6 to 12
-    # distinct x among about 250 lookups), so each is evaluated once
-    memo: dict[float, tuple[float, float]] = {}
+    terms = _dn_terms(n, A)
 
-    def pair(x):
-        if x not in memo:
-            q, g = radial.radial_pair_ncx2(n, [x], A)
-            memo[x] = (float(q[0]), float(g[0]))
-        return memo[x]
+    def grid_max(beta):
+        first, coeff = terms(beta)
+        return float(np.max(first + coeff * Q + G))
 
-    def worst_case(beta):
-        first, coeff = _dn_terms(n, beta, A)
-        return _max_over_x(first, coeff, Q, G, xs, pair)
+    beta_v, _ = _golden_min(grid_max, 1e-6, 1.0 - 1e-6, tol=1e-8)
+    first, coeff = terms(beta_v)
+    vals = first + coeff * Q + G
+    i = int(np.argmax(vals))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
 
-    beta_v, val_v = _golden_min(worst_case, 1e-6, 1.0 - 1e-6, tol=1e-8)
-    first, coeff = _dn_terms(n, beta_v, A)
-    refined_max = _max_over_x(first, coeff, Q, G, xs, pair)
-    endpoint_max = max(first + coeff * Q[0] + G[0],
-                       first + coeff * Q[-1] + G[-1])
-    return val_v, beta_v, refined_max - endpoint_max
+    def neg_along(x):
+        q, g = radial.radial_pair_ncx2(n, [x], A)
+        return -(first + coeff * float(q[0]) + float(g[0]))
+
+    _, neg_peak = _golden_min(neg_along, lo, hi,
+                              tol=max((hi - lo) * 0.618 ** 3, 1e-300))
+    val_v = max(float(vals[i]), -neg_peak)
+    return val_v, beta_v, val_v - max(vals[0], vals[-1])
 
 
 def minmax_dual_detail(n: int, A: float) -> MinmaxDetail:
@@ -353,9 +338,10 @@ def minmax_dual_detail(n: int, A: float) -> MinmaxDetail:
 
     The conjectured route assumes the max over x sits at an endpoint and
     uses the three-candidate closed evaluation.  The verified route runs
-    golden-section over beta on (0, 1) against a dense x grid (513 points
-    with local refinement, radial values in closed form) and records
-    whether an interior x ever beat the endpoints at the optimum.
+    golden-section over beta on (0, 1) against the maximum over a 513-point
+    x grid (radial values in closed form), refines that maximum locally once
+    at the beta it chose, and records whether an interior x beat the
+    endpoints there.
     """
     conj_val, conj_beta = _minmax_conjectured(n, A)
     val_v, beta_v, excess = _minmax_verified(n, A)

