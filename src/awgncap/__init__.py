@@ -17,11 +17,8 @@ from .upper_bounds import (BoundPoint, ChannelConfig, MinmaxDetail,
 from .lower_bounds import (AnalyticalBound, Constellation,
                            ConstellationMoments, MiEstimate,
                            a_n_constellation, analytical_lower_bound,
-                           constellation_mi, constellation_mi_mc,
-                           constellation_moments, delta_for_alpha,
-                           pam_lower_bound_1d, ring_constellation,
-                           volume_lower_bound)
-from .oracles import (d1, g_n, g_tilde_n, k_n_numeric, marcum_q1,
-                      mckellips_1d, q_n)
+                           constellation_mi, constellation_moments,
+                           delta_for_alpha, pam_lower_bound_1d,
+                           ring_constellation, volume_lower_bound)
 
 __version__ = "0.1.0"

@@ -88,8 +88,8 @@ def compute_bound(bound_id: str, n: int, P: float) -> upper_bounds.BoundPoint:
 
 
 def _point_rows(args):
-    n, snr_db, bounds, per_dimension = args
-    P = 10.0 ** (snr_db / 10.0)
+    # snr_db fills the CSV column; the bounds are evaluated at P
+    n, snr_db, P, bounds, per_dimension = args
     rows = []
     for b in bounds:
         pt = compute_bound(b, n, P)
@@ -151,8 +151,8 @@ class SweepRequest:
 
 def sweep(req: SweepRequest) -> None:
     """Evaluate the requested bounds over the SNR grid and write the CSV."""
-    tasks = [(req.n, s, list(req.bounds), req.per_dimension)
-             for s in req.grid()]
+    tasks = [(req.n, s, 10.0 ** (s / 10.0), list(req.bounds),
+              req.per_dimension) for s in req.grid()]
     # the pool starts all its workers at once: no more than tasks or cores
     workers = min(req.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -252,15 +252,19 @@ def main(argv: list[str] | None = None) -> int:
                 print("point requires --snr-db or --amplitude", file=sys.stderr)
                 return 2
             if args.snr_db is None:
-                snr_db = ChannelConfig(args.dim, args.amplitude).snr_db
-                if not 10.0 ** (snr_db / 10.0) > 0.0:
+                # P from A itself: a round trip through dB moves A
+                cfg = ChannelConfig(args.dim, args.amplitude)
+                snr_db, P = cfg.snr_db, cfg.snr
+                if not P > 0.0:
                     raise ValueError(
                         f"amplitude {args.amplitude:g} is too small: its SNR "
                         f"({snr_db:.6g} dB) underflows to 0")
             else:
                 snr_db = args.snr_db
                 ChannelConfig.from_snr_db(args.dim, snr_db)
-            rows = _point_rows((args.dim, snr_db, _parse_bounds(args.bounds),
+                P = 10.0 ** (snr_db / 10.0)
+            rows = _point_rows((args.dim, snr_db, P,
+                                _parse_bounds(args.bounds),
                                 args.per_dimension))
             _write_csv(sys.stdout, rows)
             return 0

@@ -5,8 +5,9 @@ mixture it induces at the channel output,
 
     I(X; Y) = h(Y) - (dim/2) log(2 pi e),    h(Y) = -E[log p_Y(Y)],
 
-with a deterministic quadrature as the primary estimator (reproducible
-output) and a seeded Monte Carlo estimator as a cross-check.
+by a deterministic lattice quadrature in the linear domain.  Its
+references, the polar Gauss-Legendre rule and a seeded Monte Carlo
+estimator on a log-domain mixture kernel, are in oracles.
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from scipy import special
 
 from . import radial
 from .radial import ChannelConfig
-from .specfun import LN2, LN_2PI, LN_2PIE
+from .specfun import LN2, LN_2PIE
 
 __all__ = [
     "Constellation", "ConstellationMoments", "MiEstimate",
     "ring_constellation", "a_n_constellation", "constellation_moments",
     "delta_for_alpha", "AnalyticalBound", "analytical_lower_bound",
-    "constellation_mi", "constellation_mi_mc", "pam_lower_bound_1d",
-    "volume_lower_bound",
+    "constellation_mi", "pam_lower_bound_1d", "volume_lower_bound",
 ]
 
 
@@ -94,10 +94,11 @@ def ring_constellation(A: float) -> Constellation:
 
     Rings sit at radii rho_k = A - 2k (one ring per 2-sigma step, always at
     least the outermost), each carrying the points rho_k e^{j m theta_k} for
-    m = 0..floor(3 rho_k) with theta_k = 2 pi / (3 rho_k), i.e. roughly one
-    point per 2-sigma arc.  The origin is included once A >= 2; closer in it
-    would sit inside the packing distance of the outer ring and measurably
-    weakens the constellation at low SNR.
+    m = 0..ceil(3 rho_k) - 1 with theta_k = 2 pi / (3 rho_k), i.e. roughly
+    one point per 2-sigma arc, none twice when 3 rho_k is an integer.  The
+    origin is included once A >= 2; closer in it would sit inside the
+    packing distance of the outer ring and measurably weakens the
+    constellation at low SNR.
     """
     ChannelConfig(2, A)
     pts: list[tuple[float, float]] = []
@@ -105,9 +106,9 @@ def ring_constellation(A: float) -> Constellation:
         pts.append((0.0, 0.0))
     for k in range(max(int(math.floor(A / 2.0)), 1)):
         rho = A - 2.0 * k
-        n_k = int(math.floor(3.0 * rho))
+        n_k = int(math.ceil(3.0 * rho))
         theta = 2.0 * math.pi / (3.0 * rho)
-        for m in range(n_k + 1):
+        for m in range(n_k):
             pts.append((rho * math.cos(m * theta), rho * math.sin(m * theta)))
     return Constellation.equiprobable(np.array(pts))
 
@@ -244,44 +245,12 @@ class MiEstimate:
 # rule at _H_FINE times that spacing.
 _H_GAP, _H_MIN, _H_MAX = 0.75, 0.12, 0.3
 _H_FINE = 0.75
-# kernel entries (rows x points) evaluated per block in _log_mixture
-_BLOCK_ENTRIES = 1 << 18
 
 
 def _support(c: Constellation):
-    """Points of positive probability and their log-probabilities."""
+    """Points of positive probability and their probabilities."""
     keep = c.probs > 0
-    return c.points[keep], np.log(c.probs[keep])
-
-
-def _logsumexp_rows(a):
-    """log(sum(exp(a), axis=1)) for a 2-D array of finite values; overwrites a."""
-    peak = a.max(axis=1)
-    a -= peak[:, None]
-    np.exp(a, out=a)
-    return peak + np.log(a.sum(axis=1))
-
-
-def _log_mixture(Y, points, logw):
-    """log p_Y at the rows of Y, shape (K, dim), for unit-noise Gaussians
-    centred at points (shape (M, dim)) with log-weights logw."""
-    dim = Y.shape[1]
-    offset = logw - 0.5 * np.square(points).sum(axis=1)
-    out = np.empty(Y.shape[0])
-    step = max(1, _BLOCK_ENTRIES // logw.size)
-    for i in range(0, Y.shape[0], step):
-        Yb = Y[i:i + step]
-        if dim == 1:
-            # direct difference: the expanded square cancels when |y| is large
-            a = np.square(Yb - points.T)
-            a *= -0.5
-            a += logw
-        else:
-            a = Yb @ points.T
-            a -= 0.5 * np.square(Yb).sum(axis=1)[:, None]
-            a += offset
-        out[i:i + step] = _logsumexp_rows(a)
-    return out - 0.5 * dim * LN_2PI
+    return c.points[keep], c.probs[keep]
 
 
 def _longest_gap(points) -> float:
@@ -327,7 +296,7 @@ def _axis_kernel(axis, coords):
     return np.exp(e, out=e)
 
 
-def _entropy_lattice(points, logw, step):
+def _entropy_lattice(points, w, step):
     """h(Y) in nats: step^dim * sum of -p log p over the nodes of step Z^dim
     in [min - 10, max + 10] (1-D) or the disk of radius peak + 10 (2-D).
 
@@ -339,7 +308,6 @@ def _entropy_lattice(points, logw, step):
     Far from every point p underflows to 0, where entr(0) = 0 is the exact
     limit of -p log p.
     """
-    w = np.exp(logw)
     dim = points.shape[1]
     if dim == 1:
         k = np.arange(math.ceil((float(points.min()) - 10.0) / step),
@@ -379,28 +347,14 @@ def constellation_mi(c: Constellation, refine_check: bool = True) -> MiEstimate:
     disagreement with the same rule at spacing 0.75 h, skipped when
     refine_check=False.
     """
-    points, logw = _support(c)
+    points, w = _support(c)
     step = _lattice_step(points)
-    h = _entropy_lattice(points, logw, step)
-    fine = _entropy_lattice(points, logw, _H_FINE * step) \
+    h = _entropy_lattice(points, w, step)
+    fine = _entropy_lattice(points, w, _H_FINE * step) \
         if refine_check else h
     nats = h - 0.5 * c.dim * LN_2PIE
     return MiEstimate(bits=max(nats, 0.0) / LN2, err_bits=abs(fine - h) / LN2,
                       method="quadrature")
-
-
-def constellation_mi_mc(c: Constellation, samples: int = 10 ** 6,
-                        seed: int = 0) -> MiEstimate:
-    """Monte Carlo cross-check of constellation_mi with reported std error."""
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(c.size, size=samples, p=c.probs)
-    Y = c.points[idx] + rng.standard_normal((samples, c.dim))
-    neg_lp = -_log_mixture(Y, *_support(c))
-    h = float(neg_lp.mean())
-    se = float(neg_lp.std(ddof=1) / math.sqrt(samples))
-    nats = h - 0.5 * c.dim * LN_2PIE
-    return MiEstimate(bits=max(nats, 0.0) / LN2, err_bits=se / LN2,
-                      method="monte_carlo")
 
 
 def pam_lower_bound_1d(P: float, return_detail: bool = False):

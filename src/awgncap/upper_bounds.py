@@ -374,15 +374,15 @@ def minmax_dual(n: int, A: float, conjecture: bool = True) -> BoundPoint:
     runs the grid-verified optimization alone.  minmax_dual_detail exposes
     both values plus the interior-vs-endpoint excess for conjecture checking.
     """
+    snr_db = ChannelConfig(n, A).snr_db
     if conjecture:
         nats, _ = _minmax_conjectured(n, A)
         bound_id = "minmax_conjectured"
     else:
         nats, _, _ = _minmax_verified(n, A)
         bound_id = "minmax_verified"
-    P = A ** 2 / n
     # divergences are nonnegative; clip quadrature noise at vanishing SNR
-    return BoundPoint(snr_db=10.0 * math.log10(P),
+    return BoundPoint(snr_db=snr_db,
                       rate_bits=max(nats, 0.0) / LN2,
                       bound_id=bound_id, valid=True)
 

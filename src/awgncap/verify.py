@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import lower_bounds, oracles, radial, specfun, upper_bounds
-from .specfun import LN2
 
 SUITES = ("specfun", "radial", "upper", "lower", "all")
 
@@ -47,16 +46,6 @@ def _result(suite, name, measured, tol, detail="", larger_ok=False):
 # specfun
 # ---------------------------------------------------------------------------
 
-def _tilde_angular_quad(n: int, x: float) -> float:
-    """Independent evaluation of the angular kernel by adaptive quadrature."""
-    cn = 2.0 / (2.0 ** (0.5 * (n - 1)) * specfun.gamma_half((n - 1) / 2.0)
-                * specfun.SQRT_2PI)
-    val, _ = integrate.quad(
-        lambda phi: math.exp(x * (math.cos(phi) - 1.0)) * math.sin(phi) ** (n - 2),
-        0.0, math.pi, epsabs=1e-15, epsrel=1e-13, limit=200)
-    return cn * val
-
-
 def suite_specfun(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -85,7 +74,7 @@ def suite_specfun(seed: int = 0) -> list[CheckResult]:
     for n in range(2, 9):
         for v in np.linspace(0.0, 30.0, 7):
             a = specfun.tilde_i_n_scaled(n, float(v))
-            b = _tilde_angular_quad(n, float(v))
+            b = oracles._tilde_angular_quad(n, float(v))
             worst = max(worst, abs(a - b) / abs(b))
     out.append(_result("specfun", "kernel_series_vs_quadrature", worst, 1e-8,
                        "n in 2..8, x in [0, 30]"))
@@ -169,58 +158,6 @@ def suite_radial(seed: int = 0) -> list[CheckResult]:
 # upper bounds
 # ---------------------------------------------------------------------------
 
-def divergence_direct_1d(beta: float, x: float, A: float) -> float:
-    """D(p_{Y|X}(.|x) || q_Y) for the scalar channel by direct integration."""
-    s = math.sqrt(2.0 * math.pi * math.e)
-
-    def log_q(y):
-        if abs(y) <= A:
-            return math.log(beta / (2.0 * A))
-        return math.log(1.0 - beta) - 0.5 * specfun.LN_2PI - 0.5 * (abs(y) - A) ** 2
-
-    def integrand(y):
-        lp = -0.5 * specfun.LN_2PI - 0.5 * (y - x) ** 2
-        return math.exp(lp) * (lp - log_q(y))
-
-    pieces = sorted({-A, A, x - 12.0, x + 12.0, -A - 12.0, A + 12.0})
-    lo, hi = min(pieces), max(pieces)
-    val = 0.0
-    for a, b in zip(pieces[:-1], pieces[1:]):
-        val += integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11,
-                              limit=200)[0]
-    return val
-
-
-def divergence_direct_nd(n: int, beta: float, x: float, A: float) -> float:
-    """Direct (r, phi) integration of the n-dimensional divergence, n >= 2.
-
-    Writes the output density in spherical coordinates around the input
-    direction; the remaining n-2 angles integrate to the unit-sphere area
-    S_{n-2} = 2 pi^{(n-1)/2} / Gamma((n-1)/2).
-    """
-    s_rest = 2.0 * math.pi ** (0.5 * (n - 1)) / specfun.gamma_half((n - 1) / 2.0)
-    lv = radial.log_vol_ball(n, A)
-    lk = math.log(radial.k_n_closed(n, A))
-
-    rmax = max(x + 14.0, A + 2.0)
-    r1, w1 = radial._panel_grid(1e-12, A, max(8, int(math.ceil(A * 3))), 30)
-    r2, w2 = radial._panel_grid(
-        A, rmax, max(8, int(math.ceil((rmax - A) * 3))), 30)
-    r = np.concatenate([r1, r2])
-    wr = np.concatenate([w1, w2])
-    logq = np.where(r <= A, math.log(beta) - lv,
-                    math.log1p(-beta) - lk - 0.5 * n * specfun.LN_2PI
-                    - 0.5 * np.square(r - A))
-    phi, wp = radial._panel_grid(0.0, math.pi, 24, 30)
-
-    expo = -0.5 * (r[:, None] ** 2 + x * x - 2.0 * r[:, None] * x
-                   * np.cos(phi[None, :]))
-    logp = -0.5 * n * specfun.LN_2PI + expo
-    dens = np.exp(logp) * (logp - logq[:, None])
-    ang = np.sin(phi) ** (n - 2) * wp
-    return s_rest * float((wr * r ** (n - 1)) @ dens @ ang)
-
-
 def suite_upper(seed: int = 0) -> list[CheckResult]:
     out = []
 
@@ -231,8 +168,8 @@ def suite_upper(seed: int = 0) -> list[CheckResult]:
             for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
                 x = frac * A
                 closed = upper_bounds.d_n(n, beta, x, A)
-                direct = (divergence_direct_1d(beta, x, A) if n == 1
-                          else divergence_direct_nd(n, beta, x, A))
+                direct = (oracles.divergence_direct_1d(beta, x, A) if n == 1
+                          else oracles.divergence_direct_nd(n, beta, x, A))
                 worst = max(worst, abs(closed - direct))
     out.append(_result("upper", "dn_closed_vs_direct_divergence", worst, 1e-6,
                        "nats, (n, beta, x) grid at A=2"))
@@ -301,47 +238,6 @@ def suite_upper(seed: int = 0) -> list[CheckResult]:
 # lower bounds
 # ---------------------------------------------------------------------------
 
-# The polar rule constellation_mi used before its lattice rule, kept as an
-# independent oracle: composite 12-point Gauss-Legendre panels of width 0.75
-# along y (1-D) or the radius (2-D), and in 2-D ceil(2 pi R / 0.35) equally
-# spaced angles, an arc spacing of 0.35 at the outer radius R.
-_GL_ORDER = 12
-_PANEL, _ARC = 0.75, 0.35
-
-
-def _gl_nodes(lo: float, hi: float):
-    """Gauss-Legendre nodes and weights on [lo, hi], panels <= _PANEL wide."""
-    return radial._panel_grid(lo, hi, int(math.ceil((hi - lo) / _PANEL)),
-                              _GL_ORDER)
-
-
-def _entropy_quad_1d(points, logw):
-    y, w = _gl_nodes(float(points.min()) - 10.0, float(points.max()) + 10.0)
-    lp = lower_bounds._log_mixture(y[:, None], points, logw)
-    return float(-(w * np.exp(lp) * lp).sum())
-
-
-def _entropy_quad_2d(points, logw):
-    R = float(np.sqrt(np.square(points).sum(axis=1)).max()) + 10.0
-    r, rw = _gl_nodes(0.0, R)
-    ang_nodes = int(math.ceil(2.0 * math.pi * R / _ARC))
-    phi = np.arange(ang_nodes) * (2.0 * math.pi / ang_nodes)
-    Y = np.stack([np.outer(r, np.cos(phi)).ravel(),
-                  np.outer(r, np.sin(phi)).ravel()], axis=1)
-    W = np.repeat(rw * r * (2.0 * math.pi / ang_nodes), ang_nodes)
-    lp = lower_bounds._log_mixture(Y, points, logw)
-    return float(-(W * np.exp(lp) * lp).sum())
-
-
-def constellation_mi_polar(c: lower_bounds.Constellation) -> float:
-    """Mutual information of c in bits by the polar rule: an oracle for
-    lower_bounds.constellation_mi on the same truncation region."""
-    points, logw = lower_bounds._support(c)
-    quad = _entropy_quad_1d if c.dim == 1 else _entropy_quad_2d
-    nats = quad(points, logw) - 0.5 * c.dim * specfun.LN_2PIE
-    return max(nats, 0.0) / LN2
-
-
 def suite_lower(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     out = []
@@ -363,8 +259,8 @@ def suite_lower(seed: int = 0) -> list[CheckResult]:
         pts = rng.uniform(-2.5, 2.5, size=(m_pts, 2))
         cst = lower_bounds.Constellation.equiprobable(pts)
         quad = lower_bounds.constellation_mi(cst)
-        mc = lower_bounds.constellation_mi_mc(cst, samples=200000,
-                                              seed=int(rng.integers(1 << 30)))
+        mc = oracles.constellation_mi_mc(cst, samples=200000,
+                                         seed=int(rng.integers(1 << 30)))
         sigma = math.sqrt(mc.err_bits ** 2 + quad.err_bits ** 2 + 1e-12)
         worst = max(worst, abs(quad.bits - mc.bits) / (3.0 * sigma))
     out.append(_result("lower", "mi_quadrature_vs_monte_carlo", worst, 1.0,
@@ -390,7 +286,7 @@ def suite_lower(seed: int = 0) -> list[CheckResult]:
     cases.append(lower_bounds.Constellation.equiprobable(
         np.linspace(-15.0, 15.0, 5)[:, None]))
     worst = max(abs(lower_bounds.constellation_mi(cst, refine_check=False).bits
-                    - constellation_mi_polar(cst)) for cst in cases)
+                    - oracles.constellation_mi_polar(cst)) for cst in cases)
     out.append(_result("lower", "mi_lattice_vs_polar", worst, 1e-12,
                        "bits: rings at -10/0/10/20 dB, alpha = 4 packings "
                        "N in {4, 8, 16}, 5-PAM on [-15, 15]"))
@@ -414,19 +310,8 @@ def suite_lower(seed: int = 0) -> list[CheckResult]:
     c2 = lower_bounds.Constellation.equiprobable(np.array([[-3.0], [3.0]]))
     mi2 = lower_bounds.constellation_mi(c2).bits
 
-    def binary_mi(a):
-        def integrand(y):
-            p1 = math.exp(-0.5 * (y - a) ** 2) / specfun.SQRT_2PI
-            p2 = math.exp(-0.5 * (y + a) ** 2) / specfun.SQRT_2PI
-            p = 0.5 * (p1 + p2)
-            h = -p * math.log(p) if p > 0 else 0.0
-            return h
-        h, _ = integrate.quad(integrand, -a - 12, a + 12, epsabs=1e-13,
-                              epsrel=1e-11, limit=300)
-        return (h - 0.5 * math.log(2 * math.pi * math.e)) / LN2
-
     out.append(_result("lower", "pam_binary_matches_two_point_oracle",
-                       abs(mi2 - binary_mi(3.0)), 1e-9))
+                       abs(mi2 - oracles.binary_mi(3.0)), 1e-9))
 
     table = lower_bounds.ring_constellation(4.0).to_table()
     rt = lower_bounds.Constellation.from_table(table)
@@ -447,10 +332,7 @@ _SUITE_FUNCS = {
 def run_suite(suite: str, seed: int = 0) -> list[CheckResult]:
     """Run one named suite (or 'all'); unknown names raise ValueError."""
     if suite == "all":
-        results = []
-        for name in ("specfun", "radial", "upper", "lower"):
-            results.extend(_SUITE_FUNCS[name](seed))
-        return results
+        return [r for run in _SUITE_FUNCS.values() for r in run(seed)]
     if suite not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     return _SUITE_FUNCS[suite](seed)

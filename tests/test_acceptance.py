@@ -12,7 +12,7 @@ import pytest
 
 from awgncap import lower_bounds as lb
 from awgncap import oracles, radial, upper_bounds
-from awgncap.verify import divergence_direct_1d, divergence_direct_nd
+from awgncap.oracles import divergence_direct_1d, divergence_direct_nd
 
 
 def _report(num: int, passed: bool, detail: str) -> None:

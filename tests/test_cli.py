@@ -12,6 +12,7 @@ import pytest
 import awgncap
 from awgncap import cli, oracles, verify
 from awgncap.cli import available_bounds, compute_bound, main
+from awgncap.lower_bounds import constellation_mi, ring_constellation
 
 
 def _read_csv(path):
@@ -142,6 +143,16 @@ class TestPoint:
         out_b = capsys.readouterr().out
         assert out_a.splitlines()[1].split(",")[2] == \
             out_b.splitlines()[1].split(",")[2]
+
+    @pytest.mark.parametrize("A", [3.0, 4.0])
+    def test_amplitude_flag_evaluates_at_that_amplitude(self, A, capsys):
+        # a round trip A -> dB -> P -> A lands on 2.9999999999999996 and
+        # 3.9999999999999996, which drops the inner ring
+        assert main(["point", "--dim", "2", "--amplitude", str(A),
+                     "--bounds", "ring_lower"]) == 0
+        rate = capsys.readouterr().out.splitlines()[1].split(",")[2]
+        mi = constellation_mi(ring_constellation(A), refine_check=False)
+        assert rate == format(mi.bits, ".12g")
 
     def test_missing_snr_is_usage_error(self):
         assert main(["point", "--dim", "2", "--bounds", "envelope"]) == 2
@@ -324,12 +335,14 @@ class TestModuleEntryPoint:
 
     def test_import_loads_no_quadrature(self):
         # the bounds need only numpy and scipy.special; quadrature, root
-        # finding, the Delaunay triangulation of the first ring MI and the
-        # property suites load when a command asks for them
+        # finding, the Delaunay triangulation of the first ring MI, the
+        # independent references and the property suites load when a
+        # command asks for them
         out = self._run("-c", "import sys, awgncap, awgncap.cli; print(sorted("
                         "{'scipy.integrate', 'scipy.optimize', "
                         "'scipy.spatial', 'scipy.sparse', 'scipy.linalg', "
-                        "'awgncap.verify'} & set(sys.modules)))")
+                        "'awgncap.oracles', 'awgncap.verify'} "
+                        "& set(sys.modules)))")
         assert out.strip() == "[]"
 
 

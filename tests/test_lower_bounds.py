@@ -5,13 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
-from awgncap import lower_bounds, upper_bounds, verify
+from awgncap import lower_bounds, oracles, upper_bounds
 from awgncap.lower_bounds import (Constellation, a_n_constellation,
                                   analytical_lower_bound, constellation_mi,
-                                  constellation_mi_mc, constellation_moments,
-                                  delta_for_alpha, pam_lower_bound_1d,
+                                  constellation_moments, delta_for_alpha, pam_lower_bound_1d,
                                   ring_constellation, volume_lower_bound)
 
 
@@ -49,11 +48,11 @@ class TestRingConstellation:
     def test_a4_counts(self):
         c = ring_constellation(4.0)
         radii = np.sqrt((c.points ** 2).sum(axis=1))
-        # origin + 13 points at radius 4 + 7 points at radius 2
-        assert c.size == 21
+        # origin + 12 points at radius 4 + 6 points at radius 2
+        assert c.size == 19
         assert int((radii < 1e-12).sum()) == 1
-        assert int(np.isclose(radii, 4.0).sum()) == 13
-        assert int(np.isclose(radii, 2.0).sum()) == 7
+        assert int(np.isclose(radii, 4.0).sum()) == 12
+        assert int(np.isclose(radii, 2.0).sum()) == 6
 
     def test_radii_within_amplitude(self):
         for A in (0.7, 2.3, 6.9, 11.4):
@@ -65,8 +64,15 @@ class TestRingConstellation:
         # emitted and the origin only joins once it is >= 2 away from it
         c = ring_constellation(1.0)
         radii = np.sqrt((c.points ** 2).sum(axis=1))
-        assert c.size == 4
+        assert c.size == 3
         assert np.all(np.isclose(radii, 1.0))
+
+    @pytest.mark.parametrize("A", [1.0 / 3.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    def test_no_point_repeats_when_3rho_is_an_integer(self, A):
+        pts = ring_constellation(A).points
+        dist = np.sqrt(np.square(pts[:, None, :] - pts[None, :, :]).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        assert dist.min() > 1e-6
 
     def test_tiny_amplitude_two_points(self):
         c = ring_constellation(0.4)
@@ -210,15 +216,15 @@ class TestConstellationMi:
             pts = rng.uniform(-2.0, 2.0, size=(int(rng.integers(2, 6)), 2))
             c = Constellation.equiprobable(pts)
             quad = constellation_mi(c)
-            mc = constellation_mi_mc(c, samples=200000,
+            mc = oracles.constellation_mi_mc(c, samples=200000,
                                      seed=int(rng.integers(1 << 30)))
             sigma = math.sqrt(quad.err_bits ** 2 + mc.err_bits ** 2)
             assert abs(quad.bits - mc.bits) <= 3.0 * sigma
 
     def test_mc_seed_determinism(self):
         c = ring_constellation(3.0)
-        a = constellation_mi_mc(c, samples=50000, seed=9)
-        b = constellation_mi_mc(c, samples=50000, seed=9)
+        a = oracles.constellation_mi_mc(c, samples=50000, seed=9)
+        b = oracles.constellation_mi_mc(c, samples=50000, seed=9)
         assert a.bits == b.bits
 
 
@@ -227,13 +233,13 @@ class TestMixtureKernel:
         rng = np.random.default_rng(3)
         a = rng.normal(scale=30.0, size=(200, 37))
         expected = special.logsumexp(a, axis=1)
-        np.testing.assert_allclose(lower_bounds._logsumexp_rows(a.copy()),
+        np.testing.assert_allclose(oracles._logsumexp_rows(a.copy()),
                                    expected, rtol=1e-13)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_log_mixture_matches_weighted_logsumexp(self, dim, monkeypatch):
         # a small block size makes the kernel run over many blocks
-        monkeypatch.setattr(lower_bounds, "_BLOCK_ENTRIES", 50)
+        monkeypatch.setattr(oracles, "_BLOCK_ENTRIES", 50)
         rng = np.random.default_rng(4)
         pts = rng.uniform(-5.0, 5.0, size=(9, dim))
         probs = rng.dirichlet(np.ones(9))
@@ -241,7 +247,7 @@ class TestMixtureKernel:
         d2 = np.square(Y[:, None, :] - pts[None, :, :]).sum(axis=2)
         expected = (special.logsumexp(-0.5 * d2, b=probs, axis=1)
                     - 0.5 * dim * math.log(2.0 * math.pi))
-        got = lower_bounds._log_mixture(Y, pts, np.log(probs))
+        got = oracles._log_mixture(Y, pts, np.log(probs))
         np.testing.assert_allclose(got, expected, rtol=1e-13)
 
     @pytest.mark.parametrize("pts", [[[-1.0], [2.0], [9.0]],
@@ -253,7 +259,7 @@ class TestMixtureKernel:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             a = constellation_mi(with_zero)
-            constellation_mi_mc(with_zero, samples=1000)
+            oracles.constellation_mi_mc(with_zero, samples=1000)
         b = constellation_mi(without)
         assert a.bits == pytest.approx(b.bits, abs=1e-14)
 
@@ -272,7 +278,7 @@ def _entropy_lattice_log_domain(points, logw, step):
         Y = np.stack(np.meshgrid(axis, axis, indexing="ij"),
                      axis=2).reshape(-1, 2)
         Y = Y[np.square(Y).sum(axis=1) <= R * R]
-    lp = lower_bounds._log_mixture(Y, points, logw)
+    lp = oracles._log_mixture(Y, points, logw)
     return float(-(np.exp(lp) * lp).sum()) * step ** points.shape[1]
 
 
@@ -301,11 +307,11 @@ class TestSeparableKernel:
 
     @staticmethod
     def _assert_matches(c):
-        points, logw = lower_bounds._support(c)
+        points, w = lower_bounds._support(c)
         step = lower_bounds._lattice_step(points)
         for h in (step, lower_bounds._H_FINE * step):
-            got = lower_bounds._entropy_lattice(points, logw, h)
-            ref = _entropy_lattice_log_domain(points, logw, h)
+            got = lower_bounds._entropy_lattice(points, w, h)
+            ref = _entropy_lattice_log_domain(points, np.log(w), h)
             assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
@@ -374,7 +380,7 @@ class TestLatticeRule:
     def test_wide_gaps_match_polar_oracle(self, name):
         c = Constellation.equiprobable(np.array(_WIDE_GAP_SETS[name]))
         mi = constellation_mi(c)
-        assert mi.bits == pytest.approx(verify.constellation_mi_polar(c),
+        assert mi.bits == pytest.approx(oracles.constellation_mi_polar(c),
                                         abs=1e-12)
         assert mi.err_bits <= 1e-12
 
@@ -399,17 +405,9 @@ class TestPamLowerBound:
 
     def test_binary_case_matches_two_point_oracle(self):
         a = 3.0
-
-        def integrand(y):
-            p = 0.5 * (math.exp(-0.5 * (y - a) ** 2)
-                       + math.exp(-0.5 * (y + a) ** 2)) / math.sqrt(2 * math.pi)
-            return -p * math.log(p)
-
-        h, _ = integrate.quad(integrand, -a - 12, a + 12, epsabs=1e-13,
-                              epsrel=1e-11, limit=300)
-        oracle = (h - 0.5 * math.log(2 * math.pi * math.e)) / math.log(2)
         c = Constellation.equiprobable(np.array([[-a], [a]]))
-        assert constellation_mi(c).bits == pytest.approx(oracle, abs=1e-10)
+        assert constellation_mi(c).bits == pytest.approx(oracles.binary_mi(a),
+                                                         abs=1e-10)
 
     def test_within_gap_of_envelope_at_10db(self):
         P = 10.0

@@ -12,7 +12,7 @@ from awgncap.upper_bounds import (ChannelConfig, amplitude_threshold,
                                   beta_star, d_n, envelope, mckellips_nd,
                                   minmax_dual, minmax_dual_detail, refined_1d,
                                   refined_nd)
-from awgncap.verify import divergence_direct_1d, divergence_direct_nd
+from awgncap.oracles import divergence_direct_1d, divergence_direct_nd
 
 LN2 = math.log(2.0)
 SQRT_2PIE = math.sqrt(2.0 * math.pi * math.e)
@@ -375,6 +375,14 @@ class TestMinmax:
         minmax_dual(n, math.sqrt(n * 10.0 ** (snr_db / 10.0)),
                     conjecture=False)
         assert sizes == [513] + [1] * 6
+
+    def test_tiny_amplitude_reports_its_snr(self):
+        # A^2 / n underflows to 0 below A = 2.2e-162: the dB value comes
+        # from A, as in ChannelConfig.snr_db
+        pt = minmax_dual(2, 1e-170, conjecture=False)
+        assert pt.snr_db == pytest.approx(-3400.0 - 10.0 * math.log10(2.0),
+                                          abs=1e-9)
+        assert math.isfinite(pt.rate_bits) and pt.rate_bits >= 0.0
 
     def test_bound_point_fields(self):
         pt = minmax_dual(2, 2.0, conjecture=True)
