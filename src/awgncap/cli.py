@@ -11,12 +11,12 @@ input order.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import math
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import lower_bounds, upper_bounds
@@ -153,10 +153,11 @@ def sweep(req: SweepRequest) -> None:
     """Evaluate the requested bounds over the SNR grid and write the CSV."""
     tasks = [(req.n, s, 10.0 ** (s / 10.0), list(req.bounds),
               req.per_dimension) for s in req.grid()]
-    # the pool starts all its workers at once: no more than tasks or cores
+    # the pool starts all its workers at once: no more than tasks or cores.
+    # Its lookup loads multiprocessing, which no other command needs.
     workers = min(req.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_point_rows, tasks))
     else:
         chunks = [_point_rows(t) for t in tasks]

@@ -1,6 +1,7 @@
 """CLI tests: CSV sweeps, point queries, verification driver, exit codes."""
 
 import csv
+import json
 import math
 import os
 import pathlib
@@ -71,7 +72,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
         args = ["sweep", "--dim", "1", "--snr-db-min", "0", "--snr-db-max",
                 "2", "--step", "1", "--bounds", "avg_power", "--jobs",
                 "100000", "--out", str(tmp_path / "s.csv")]
@@ -296,6 +298,26 @@ class TestReferenceSweeps:
             assert g[3:] == r[3:], r
 
 
+class TestReferenceQueries:
+    """The first block of each benchmark query stream against its committed
+    reference answers: rates to 1e-9 bits, valid flags and achievers exact.
+
+    verified_nd pins the minmax_verified route; query_nd pins the envelope
+    achiever labels, which a rounding-level change can flip.
+    """
+
+    @pytest.mark.parametrize("name, block", [("verified_nd", 16),
+                                             ("query_nd", 48)])
+    def test_first_block_matches_reference(self, name, block):
+        ref = json.loads((_REFERENCE / f"{name}_seed0.json").read_text())
+        for (n, bound_id, snr_db), want in ref["answers"][:block]:
+            pt = compute_bound(bound_id, n, 10.0 ** (snr_db / 10.0))
+            where = (n, bound_id, snr_db)
+            assert pt.rate_bits == pytest.approx(want["rate"], abs=1e-9), where
+            assert (pt.valid, pt.achiever) == (want["valid"],
+                                               want["achiever"]), where
+
+
 class TestListBounds:
     def test_listing(self, capsys):
         assert main(["--list-bounds"]) == 0
@@ -336,12 +358,13 @@ class TestModuleEntryPoint:
     def test_import_loads_no_quadrature(self):
         # the bounds need only numpy and scipy.special; quadrature, root
         # finding, the Delaunay triangulation of the first ring MI, the
-        # independent references and the property suites load when a
-        # command asks for them
+        # independent references, the property suites and the process pool
+        # of sweep --jobs load when a command asks for them
         out = self._run("-c", "import sys, awgncap, awgncap.cli; print(sorted("
                         "{'scipy.integrate', 'scipy.optimize', "
                         "'scipy.spatial', 'scipy.sparse', 'scipy.linalg', "
-                        "'awgncap.oracles', 'awgncap.verify'} "
+                        "'awgncap.oracles', 'awgncap.verify', "
+                        "'multiprocessing', 'concurrent.futures.process'} "
                         "& set(sys.modules)))")
         assert out.strip() == "[]"
 

@@ -362,8 +362,8 @@ class TestMinmax:
     @pytest.mark.parametrize("snr_db", (10.0, 30.0))
     def test_verified_reads_grid_once_and_refines_once(self, n, snr_db,
                                                        monkeypatch):
-        # the beta search reads only the 513-point grid; the three
-        # golden-section rounds at the chosen beta take six single x values
+        # the beta search reads only the 513-point grid; the refinement at
+        # the chosen beta is one 17-point call across the argmax's two cells
         sizes = []
         real = radial.radial_pair_ncx2
 
@@ -374,7 +374,38 @@ class TestMinmax:
         monkeypatch.setattr(radial, "radial_pair_ncx2", counting)
         minmax_dual(n, math.sqrt(n * 10.0 ** (snr_db / 10.0)),
                     conjecture=False)
-        assert sizes == [513] + [1] * 6
+        assert sizes == [513, 17]
+
+    @pytest.mark.parametrize("n, snr_db", ((2, 10.0), (3, 30.0)))
+    def test_refinement_finds_a_narrow_bump_the_grid_misses(self, n, snr_db,
+                                                            monkeypatch):
+        # a bump in g_n, 1/32 of a grid step wide, midway between the grid
+        # argmax and its neighbour: the grid sees none of it, the
+        # refinement must
+        A = math.sqrt(n * 10.0 ** (snr_db / 10.0))
+        _, beta, _ = upper_bounds._minmax_verified(n, A)
+        xs = np.linspace(0.0, A, 513)
+        real = radial.radial_pair_ncx2
+        Q, G = real(n, xs, A)
+        first, coeff = upper_bounds._dn_terms(n, A)(beta)
+        vals = first + coeff * Q + G
+        i = int(np.argmax(vals))
+        step = xs[1]
+        centre = xs[i] + (0.5 if i < 512 else -0.5) * step
+        height, width = 1e-2, step / 32.0
+
+        def bumped(n_, x, A_):
+            q, g = real(n_, x, A_)
+            x = np.asarray(x, dtype=float)
+            return q, g + height * np.exp(-0.5 * ((x - centre) / width) ** 2)
+
+        monkeypatch.setattr(radial, "radial_pair_ncx2", bumped)
+        val, beta_b, _ = upper_bounds._minmax_verified(n, A)
+        q, g = real(n, [centre], A)
+        excess = first + coeff * q[0] + g[0] + height - vals[i]
+        assert beta_b == beta
+        assert val > vals[i]
+        assert val - vals[i] >= 0.99 * excess
 
     def test_tiny_amplitude_reports_its_snr(self):
         # A^2 / n underflows to 0 below A = 2.2e-162: the dB value comes
