@@ -1,0 +1,50 @@
+"""Layer microbenchmarks: the angular kernel and the one-point radial pair.
+
+    PYTHONPATH=src python -m pytest benchmarks                      # timed
+    PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # once each
+
+Needs pytest-benchmark.  The tier-1 run collects only tests/, so these are
+never timed there.  BENCH_kernel.json at the repository root holds medians
+of these benchmarks before and after the in-place angular kernel.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from awgncap import radial, specfun
+
+# 1,120 arguments per route: what the panel rule's second pass at x = A hands
+# the kernel (the 3,200 nodes on [A, A + 40] with |z - A| < 14); at 25 dB
+# and n = 2 all of them have z A in (30, 1000]
+SERIES_BLOCK = np.linspace(0.0, specfun.SERIES_CUTOFF, 1120)
+QUADRATURE_BLOCK = np.linspace(30.5, 1000.0, 1120)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_series_block(benchmark, n):
+    out = benchmark(specfun.tilde_i_n_scaled, n, SERIES_BLOCK)
+    assert out.shape == SERIES_BLOCK.shape and np.all(out > 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_quadrature_block(benchmark, n):
+    out = benchmark(specfun.tilde_i_n_scaled, n, QUADRATURE_BLOCK)
+    assert out.shape == QUADRATURE_BLOCK.shape and np.all(out > 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kernel_scalar(benchmark, n):
+    out = benchmark(specfun.tilde_i_n_scaled, n, 5.0)
+    assert isinstance(out, float) and out > 0
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 15.0, 25.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_radial_pair_grid_endpoint(benchmark, n, snr_db):
+    # Q_n(A, A) and g_n(A, A), the endpoint pair of the refined, beta* and
+    # conjectured min-max bounds (not memoized at this level)
+    A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+    Q, G = benchmark(radial.radial_pair_grid, n, [A], A)
+    assert 0.0 < Q[0] < 1.0 and G[0] > 0.0

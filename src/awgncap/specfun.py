@@ -40,10 +40,11 @@ def bessel_i0_scaled(x):
 
     The scaling keeps the value in (0, 1] so products with Gaussian factors
     can combine exponents analytically instead of overflowing near x ~ 700.
+    Raises ValueError unless every x is finite and >= 0.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("bessel_i0_scaled requires x >= 0")
+    if not ((x >= 0.0) & (x < math.inf)).all():
+        raise ValueError("bessel_i0_scaled requires finite x >= 0")
     out = special.i0e(x)
     return float(out) if out.ndim == 0 else out
 
@@ -89,10 +90,15 @@ def _tilde_series_scaled(n: int, x: np.ndarray) -> np.ndarray:
     x2 = np.square(x)
     term = np.ones_like(x)
     total = np.ones_like(x)
+    # term <= _SERIES_REL_TOL * total, tested in reused buffers
+    limit = np.empty_like(x)
+    done = np.empty(x.shape, dtype=bool)
     for k in range(_SERIES_MAX_TERMS):
-        term = term * x2 / ((n + 2.0 * k) * (2.0 * k + 2.0))
+        term *= x2
+        term /= (n + 2.0 * k) * (2.0 * k + 2.0)
         total += term
-        if np.all(term <= _SERIES_REL_TOL * total):
+        np.multiply(total, _SERIES_REL_TOL, out=limit)
+        if np.less_equal(term, limit, out=done).all():
             break
     else:
         raise RuntimeError(
@@ -113,12 +119,22 @@ def _tilde_quad_scaled(n: int, x: np.ndarray) -> np.ndarray:
     cn = 2.0 / (2.0 ** (0.5 * (n - 1)) * gamma_half((n - 1) / 2.0) * SQRT_2PI)
     sq = np.sqrt(x)
     tmax = np.minimum(math.pi * sq, _LARGE_X_TMAX)
-    # map the fixed Gauss-Legendre nodes onto [0, tmax] for every x at once
+    # map the fixed Gauss-Legendre nodes onto [0, tmax] for every x at once;
+    # one buffer goes u -> exp(x (cos u - 1)) in place, and sin(u)^(n-2) is
+    # formed only when n > 2 (it is exactly 1 at n = 2)
     half = 0.5 * tmax
-    t = half[..., None] * (_GL_NODES + 1.0)
-    u = t / sq[..., None]
-    integrand = np.exp(x[..., None] * (np.cos(u) - 1.0)) * np.sin(u) ** (n - 2)
-    vals = (integrand * _GL_WEIGHTS).sum(axis=-1) * half
+    buf = half[..., None] * (_GL_NODES + 1.0)
+    buf /= sq[..., None]
+    s = np.sin(buf) if n > 2 else None
+    np.cos(buf, out=buf)
+    buf -= 1.0
+    buf *= x[..., None]
+    np.exp(buf, out=buf)
+    if n > 2:
+        # s ** 1 would copy; numpy already squares s ** 2 by np.square
+        buf *= s if n == 3 else s ** (n - 2)
+    buf *= _GL_WEIGHTS
+    vals = buf.sum(axis=-1) * half
     return cn * vals / sq
 
 
@@ -132,20 +148,24 @@ def tilde_i_n_scaled(n: int, x):
 
     so that tilde_I_2 = I_0.  Small arguments use the even power series,
     large arguments (x > 30) a substituted fixed-order quadrature of the
-    integral; both routes are exponentially scaled throughout.
+    integral; both routes are exponentially scaled throughout.  Raises
+    ValueError unless every x is finite and >= 0.
     """
     if n < 2 or n != int(n):
         raise ValueError(f"tilde_i_n requires integer n >= 2, got {n}")
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("tilde_i_n requires x >= 0")
+    if not ((arr >= 0.0) & (arr < math.inf)).all():
+        raise ValueError("tilde_i_n requires finite x >= 0")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
     small = arr <= SERIES_CUTOFF
-    if np.any(small):
+    if small.all():
+        out = _tilde_series_scaled(int(n), arr)
+    elif not small.any():
+        out = _tilde_quad_scaled(int(n), arr)
+    else:
+        out = np.empty_like(arr)
         out[small] = _tilde_series_scaled(int(n), arr[small])
-    if np.any(~small):
         out[~small] = _tilde_quad_scaled(int(n), arr[~small])
     return float(out[0]) if scalar else out
 

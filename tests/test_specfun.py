@@ -89,6 +89,13 @@ class TestBesselI0Scaled:
         with pytest.raises(ValueError):
             specfun.bessel_i0_scaled(-0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_domain_error(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            specfun.bessel_i0_scaled(bad)
+        with pytest.raises(ValueError, match="finite"):
+            specfun.bessel_i0_scaled(np.array([0.5, bad]))
+
 
 class TestMarcumQ1:
     def test_b_zero_gives_one(self):
@@ -191,6 +198,89 @@ class TestAngularKernel:
             specfun.tilde_i_n(1, 1.0)
         with pytest.raises(ValueError):
             specfun.tilde_i_n(2, -1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_domain_error(self, bad):
+        # NaN never converges in the series and inf makes the quadrature NaN
+        with pytest.raises(ValueError, match="finite"):
+            specfun.tilde_i_n_scaled(3, bad)
+        with pytest.raises(ValueError, match="finite"):
+            specfun.tilde_i_n_scaled(2, np.array([1.0, 40.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            specfun.tilde_i_n(4, bad)
+
+    def test_empty_input(self):
+        assert specfun.tilde_i_n_scaled(3, np.empty(0)).shape == (0,)
+
+
+# Both kernel routes written out with a fresh temporary per operation: the
+# in-place kernel must round every step the same way, so each input below is
+# compared under ==.  The series stops when the whole batch has converged, so
+# a mixed array runs it on the series part alone, as the kernel does.
+_REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(80)
+
+
+def _reference_series(n, x):
+    x2 = np.square(x)
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(500):
+        term = term * x2 / ((n + 2.0 * k) * (2.0 * k + 2.0))
+        total += term
+        if np.all(term <= 1e-16 * total):
+            break
+    return specfun.tilde_i_zero(n) * total * np.exp(-x)
+
+
+def _reference_quad(n, x):
+    cn = 2.0 / (2.0 ** (0.5 * (n - 1)) * specfun.gamma_half((n - 1) / 2.0)
+                * specfun.SQRT_2PI)
+    sq = np.sqrt(x)
+    half = 0.5 * np.minimum(math.pi * sq, 18.0)
+    u = half[..., None] * (_REF_NODES + 1.0) / sq[..., None]
+    integrand = np.exp(x[..., None] * (np.cos(u) - 1.0)) * np.sin(u) ** (n - 2)
+    vals = (integrand * _REF_WEIGHTS).sum(axis=-1) * half
+    return cn * vals / sq
+
+
+def _reference_kernel(n, x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty_like(x)
+    small = x <= 30.0
+    if np.any(small):
+        out[small] = _reference_series(n, x[small])
+    if np.any(~small):
+        out[~small] = _reference_quad(n, x[~small])
+    return out
+
+
+class TestAngularKernelBits:
+    """tilde_i_n_scaled gives exactly the bits of the reference routes."""
+
+    ARRAYS = {
+        # series up to x = 30, quadrature above
+        "straddle_cutoff": np.linspace(28.0, 32.0, 161),
+        # tmax = min(pi sqrt(x), 18) stops clipping at x = (18/pi)^2
+        "straddle_tmax": np.linspace(31.5, 34.5, 121),
+        "series_only": np.linspace(0.0, 30.0, 241),
+        "quadrature_only": np.geomspace(30.0 + 1e-9, 1e6, 200),
+        "mixed": np.random.default_rng(11).uniform(0.0, 200.0, 500),
+    }
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("name", sorted(ARRAYS))
+    def test_arrays(self, n, name):
+        xs = self.ARRAYS[name]
+        assert np.array_equal(specfun.tilde_i_n_scaled(n, xs),
+                              _reference_kernel(n, xs))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_scalars(self, n):
+        for x in (0.0, 1e-300, 0.5, 29.999, 30.0, 30.001,
+                  (18.0 / math.pi) ** 2, 33.0, 1e4, 1e9):
+            got = specfun.tilde_i_n_scaled(n, x)
+            assert isinstance(got, float)
+            assert got == _reference_kernel(n, x)[0], x
 
 
 class TestBinaryEntropy:
