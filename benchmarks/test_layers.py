@@ -1,11 +1,14 @@
-"""Layer microbenchmarks: the angular kernel and the one-point radial pair.
+"""Layer microbenchmarks: the angular kernel, the one-point radial pair, the
+PAM scan and the 2-D ring constellation MI.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # once each
 
 Needs pytest-benchmark.  The tier-1 run collects only tests/, so these are
-never timed there.  BENCH_kernel.json at the repository root holds medians
-of these benchmarks before and after the in-place angular kernel.
+never timed there.  At the repository root, BENCH_kernel.json holds medians
+of the kernel and radial benchmarks before and after the in-place angular
+kernel, and BENCH_pam.json those of the PAM scan and ring MI before and
+after the one-pass PAM scan.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from awgncap import radial, specfun
+from awgncap import lower_bounds, radial, specfun
 
 # 1,120 arguments per route: what the panel rule's second pass at x = A hands
 # the kernel (the 3,200 nodes on [A, A + 40] with |z - A| < 14); at 25 dB
@@ -48,3 +51,19 @@ def test_radial_pair_grid_endpoint(benchmark, n, snr_db):
     A = radial.ChannelConfig.from_snr_db(n, snr_db).A
     Q, G = benchmark(radial.radial_pair_grid, n, [A], A)
     assert 0.0 < Q[0] < 1.0 and G[0] > 0.0
+
+
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0])
+def test_pam_lower_bound_1d(benchmark, snr_db):
+    # the criterion-1 PAM scan, one per point of the scalar sweep
+    P = 10.0 ** (snr_db / 10.0)
+    rate, m = benchmark(lower_bounds.pam_lower_bound_1d, P, True)
+    assert 0.0 < rate <= 0.5 * np.log2(1.0 + P) and m >= 2
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 20.0])
+def test_ring_constellation_mi(benchmark, snr_db):
+    # the 2-D sweep's ring_lower: one ring MI without its error estimate
+    c = lower_bounds.ring_constellation(np.sqrt(2.0 * 10.0 ** (snr_db / 10.0)))
+    mi = benchmark(lower_bounds.constellation_mi, c, refine_check=False)
+    assert 0.0 < mi.bits <= np.log2(c.size)

@@ -275,16 +275,21 @@ def _longest_gap(points) -> float:
     return float(np.diff(np.sort(points[:, 0])).max(initial=0.0))
 
 
-def _lattice_step(points) -> float:
-    """Lattice spacing for the constellation: _H_GAP / (longest gap), clipped.
+def _step_for_gap(gap: float) -> float:
+    """Lattice spacing for a longest gap: _H_GAP / gap, clipped to
+    [_H_MIN, _H_MAX]; _H_MAX for a single point (gap 0).
 
     Between two points at distance s the mixture density dips to about
     e^{-s^2/8}, and log p_Y is analytic only in a strip about pi/s wide
     around the real line; the equal-weight rule converges like
     e^{-2 pi (pi/s) / h}, so h s fixed keeps that error fixed.
     """
-    gap = _longest_gap(points)
     return _H_MAX if gap == 0.0 else min(max(_H_GAP / gap, _H_MIN), _H_MAX)
+
+
+def _lattice_step(points) -> float:
+    """Lattice spacing for the constellation (see _step_for_gap)."""
+    return _step_for_gap(_longest_gap(points))
 
 
 def _axis_kernel(axis, coords):
@@ -326,10 +331,25 @@ def _entropy_lattice(points, w, step):
     return float(special.entr(p).sum()) * step ** dim
 
 
+def _mi_bits(h: float, m: int, power: float, dim: int) -> float:
+    """I(X;Y) = h(Y) - (dim/2) log(2 pi e) in bits, clipped to what it
+    provably obeys: 0 <= I <= H(X) <= log2 m for m points, and I is at most
+    (dim/2) log2(1 + power/dim), the capacity at average power `power`
+    (E|X|^2 of the input, or the channel's own P where that is smaller).
+    The lattice value carries an absolute error of about 3e-16 bits, which
+    the clip keeps from lifting a rate above either bound where the true
+    rate vanishes (a single point, or vanishing SNR).
+    """
+    bits = max(h - 0.5 * dim * LN_2PIE, 0.0) / LN2
+    return min(bits, math.log2(m), 0.5 * dim * math.log1p(power / dim) / LN2)
+
+
 def constellation_mi(c: Constellation, refine_check: bool = True) -> MiEstimate:
     """Mutual information of a constellation over the unit-noise channel, bits.
 
-    Deterministic quadrature of h(Y), then I = h(Y) - (dim/2) log(2 pi e).
+    Deterministic quadrature of h(Y), then I = h(Y) - (dim/2) log(2 pi e),
+    clipped to [0, min(log2 M, (dim/2) log2(1 + E|X|^2/dim))] for M points of
+    positive probability (see _mi_bits).
     Points of zero probability are dropped first.  The rule is the
     equal-weight lattice rule h^dim sum -p log p over the nodes of hZ^dim in
     [min - 10, max + 10] (1-D) or in the disk of radius peak + 10 (2-D),
@@ -352,25 +372,56 @@ def constellation_mi(c: Constellation, refine_check: bool = True) -> MiEstimate:
     h = _entropy_lattice(points, w, step)
     fine = _entropy_lattice(points, w, _H_FINE * step) \
         if refine_check else h
-    nats = h - 0.5 * c.dim * LN_2PIE
-    return MiEstimate(bits=max(nats, 0.0) / LN2, err_bits=abs(fine - h) / LN2,
-                      method="quadrature")
+    return MiEstimate(bits=_mi_bits(h, w.size, c.average_power(), c.dim),
+                      err_bits=abs(fine - h) / LN2, method="quadrature")
+
+
+def _pam_grid(A: float):
+    """Every scanned size M = 2..ceil(2+2A)+4, the offset of its points and
+    all their points in one array: np.linspace(-A, A, M) for each M, made
+    operation for operation as linspace does, i * ((A - (-A)) / (M - 1)) +
+    (-A) with the last point set to A."""
+    sizes = np.arange(2, int(math.ceil(2.0 + 2.0 * A)) + 5)
+    starts = np.cumsum(sizes) - sizes
+    pts = np.arange(starts[-1] + sizes[-1], dtype=float)
+    pts -= np.repeat(starts, sizes)
+    pts *= np.repeat((A - (-A)) / (sizes - 1), sizes)
+    pts += -A
+    pts[starts + sizes - 1] = A
+    return sizes, starts, pts
 
 
 def pam_lower_bound_1d(P: float, return_detail: bool = False):
     """Best equiprobable PAM rate: max over M of I(X;Y), points on [-A, A].
 
     M ranges over 2..ceil(2+2A)+4 with A = sqrt(P); points are uniformly
-    spaced including the endpoints.  This stands in for an optimized input
-    distribution and stays within 0.1 bits of the upper-bound envelope.
+    spaced including the endpoints, as np.linspace(-A, A, M) places them.
+    This stands in for an optimized input distribution and stays within 0.1
+    bits of the upper-bound envelope.  Each rate is constellation_mi's
+    (without its error estimate), clipped to [0, min(log2 M, (1/2) log2(1 +
+    min(E X^2, P)))], so it never exceeds log2 M nor the average-power
+    capacity: the scan runs from the largest M down and stops, exactly, once
+    log2 M is below the best rate found.  Ties go to the smallest M; with
+    return_detail the result is (rate, M), and (0.0, 1) when no M gives a
+    positive rate.
     """
     A = ChannelConfig.from_snr(1, P).A
-    m_max = int(math.ceil(2.0 + 2.0 * A)) + 4
+    sizes, starts, pts = _pam_grid(A)
+    # the one difference that spans two sizes is -2A, below every gap
+    gaps = np.maximum.reduceat(np.diff(pts), starts)
+    sq = np.square(pts)
     best, best_m = 0.0, 1
-    for m in range(2, m_max + 1):
-        c = Constellation.equiprobable(np.linspace(-A, A, m)[:, None])
-        mi = constellation_mi(c, refine_check=False).bits
-        if mi > best:
+    for m, s, gap in zip(sizes[::-1].tolist(), starts[::-1].tolist(),
+                         gaps[::-1].tolist()):
+        if math.log2(m) < best:   # I <= log2 m < best from here down
+            break
+        w = np.full(m, 1.0 / m)
+        h = _entropy_lattice(pts[s:s + m, None], w, _step_for_gap(gap))
+        # E X^2 as Constellation.average_power sums it; the endpoints
+        # fl(sqrt(P)) may exceed sqrt(P) by half an ulp, and no lower bound
+        # on C(P) may exceed the capacity at average power P
+        mi = _mi_bits(h, m, min(float((w * sq[s:s + m]).sum()), P), 1)
+        if mi > 0.0 and mi >= best:
             best, best_m = mi, m
     return (best, best_m) if return_detail else best
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from awgncap import lower_bounds, oracles, upper_bounds
+from awgncap import cli, lower_bounds, oracles, upper_bounds
 from awgncap.lower_bounds import (Constellation, a_n_constellation,
                                   analytical_lower_bound, constellation_mi,
                                   constellation_moments, delta_for_alpha, pam_lower_bound_1d,
@@ -420,6 +420,111 @@ class TestPamLowerBound:
         _, m_low = pam_lower_bound_1d(1.0, return_detail=True)
         _, m_high = pam_lower_bound_1d(100.0, return_detail=True)
         assert m_high > m_low >= 2
+
+
+def _pam_scan_reference(P):
+    """The ascending scan pam_lower_bound_1d replaced: one constellation_mi
+    per M, where a strict > keeps the smallest M among equal rates.  Each
+    rate is also capped by the average-power capacity at P, as the scan's
+    clip caps it where the endpoints fl(sqrt(P)) exceed sqrt(P)."""
+    A = math.sqrt(P)
+    cap = upper_bounds.avg_power(1, P)
+    best, best_m = 0.0, 1
+    for m in range(2, int(math.ceil(2.0 + 2.0 * A)) + 5):
+        c = Constellation.equiprobable(np.linspace(-A, A, m)[:, None])
+        mi = min(constellation_mi(c, refine_check=False).bits, cap)
+        if mi > best:
+            best, best_m = mi, m
+    return best, best_m
+
+
+_PAM_PINNED_P = ([10.0 ** (0.25 * k) for k in range(-4, 13)]
+                 + [1e-300, 1e-10, 1e4])
+
+
+class TestPamScanBits:
+    """The one-pass descending scan returns the ascending scan's bits."""
+
+    @pytest.mark.parametrize("P", _PAM_PINNED_P)
+    def test_equals_ascending_constellation_mi_scan(self, P):
+        assert pam_lower_bound_1d(P, return_detail=True) == \
+            _pam_scan_reference(P)
+
+    @pytest.mark.parametrize("P", [5e-324, 1e-300, 1e-10, 0.1, 1.0, 10.0,
+                                   1000.0, 1e4])
+    def test_points_are_linspace(self, P):
+        A = math.sqrt(P)
+        sizes, starts, pts = lower_bounds._pam_grid(A)
+        assert sizes.tolist() == list(range(2, int(math.ceil(2 + 2 * A)) + 5))
+        assert starts[-1] + sizes[-1] == pts.size
+        for m, s in zip(sizes.tolist(), starts.tolist()):
+            assert np.array_equal(pts[s:s + m], np.linspace(-A, A, m)), m
+
+    @pytest.mark.parametrize("P", [1e-10, 0.1, 1.0, 10.0, 100.0, 1000.0])
+    def test_skipped_sizes_cannot_win(self, P, monkeypatch):
+        evaluated = []
+        kernel = lower_bounds._entropy_lattice
+
+        def recording(points, w, step):
+            evaluated.append(points.shape[0])
+            return kernel(points, w, step)
+
+        monkeypatch.setattr(lower_bounds, "_entropy_lattice", recording)
+        rate, _ = pam_lower_bound_1d(P, return_detail=True)
+        m_max = int(math.ceil(2.0 + 2.0 * math.sqrt(P))) + 4
+        assert evaluated == list(range(m_max, m_max - len(evaluated), -1))
+        skipped = range(2, m_max - len(evaluated) + 1)
+        assert all(math.log2(m) < rate for m in skipped)
+        if P >= 10.0:
+            assert len(skipped) > 0
+
+    def test_ties_go_to_the_smallest_size(self, monkeypatch):
+        # every size gets the same rate: the ascending scan reports M = 2
+        monkeypatch.setattr(lower_bounds, "_mi_bits", lambda *a: 0.5)
+        assert pam_lower_bound_1d(10.0, return_detail=True) == (0.5, 2)
+
+    def test_no_positive_rate_gives_one_point(self, monkeypatch):
+        monkeypatch.setattr(lower_bounds, "_mi_bits", lambda *a: 0.0)
+        assert pam_lower_bound_1d(10.0, return_detail=True) == (0.0, 1)
+
+
+class TestRateClip:
+    """Lower bounds stay below capacity where the true rate vanishes: the
+    lattice value's absolute error of about 3e-16 bits is clipped away."""
+
+    @pytest.mark.parametrize("snr_db", [-200.0, -150.0, -100.0, -40.0])
+    def test_pam_below_average_power_capacity(self, snr_db):
+        P = 10.0 ** (snr_db / 10.0)
+        assert cli.compute_bound("pam_lower", 1, P).rate_bits \
+            <= cli.compute_bound("avg_power", 1, P).rate_bits
+
+    @pytest.mark.parametrize("snr_db", [-200.0, -150.0, -100.0, -40.0])
+    def test_ring_below_average_power_capacity(self, snr_db):
+        P = 10.0 ** (snr_db / 10.0)
+        assert cli.compute_bound("ring_lower", 2, P).rate_bits \
+            <= cli.compute_bound("avg_power", 2, P).rate_bits
+
+    @pytest.mark.parametrize("pts", [[[0.0]], [[0.0, 0.0]], [[3.0, -4.0]]])
+    def test_one_point_is_exactly_zero(self, pts):
+        c = Constellation.equiprobable(np.array(pts))
+        assert constellation_mi(c).bits == 0.0
+
+    @pytest.mark.parametrize("A", [0.01, 0.2, 0.3, 0.33])
+    def test_one_point_ring_is_exactly_zero(self, A):
+        c = ring_constellation(A)
+        assert c.size == 1
+        assert constellation_mi(c, refine_check=False).bits == 0.0
+
+    @pytest.mark.parametrize("snr_db", [-100.0, -60.0, -20.0])
+    def test_ring_lower_is_exactly_zero_below_one_third(self, snr_db):
+        # A = sqrt(2P) < 1/3 leaves the ring a single point
+        P = 10.0 ** (snr_db / 10.0)
+        assert cli.compute_bound("ring_lower", 2, P).rate_bits == 0.0
+
+    def test_zero_weight_points_do_not_count(self):
+        c = Constellation(points=np.array([[0.0], [5.0]]),
+                          probs=np.array([1.0, 0.0]))
+        assert constellation_mi(c).bits == 0.0
 
 
 class TestVolumeLowerBound:
