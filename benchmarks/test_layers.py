@@ -1,5 +1,5 @@
 """Layer microbenchmarks: the angular kernel, the one-point radial pair, the
-PAM scan and the 2-D ring constellation MI.
+PAM scan, the 2-D gap search and the 2-D ring constellation MI.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # once each
@@ -7,8 +7,9 @@ PAM scan and the 2-D ring constellation MI.
 Needs pytest-benchmark.  The tier-1 run collects only tests/, so these are
 never timed there.  At the repository root, BENCH_kernel.json holds medians
 of the kernel and radial benchmarks before and after the in-place angular
-kernel, and BENCH_pam.json those of the PAM scan and ring MI before and
-after the one-pass PAM scan.
+kernel, BENCH_pam.json those of the PAM scan and ring MI before and
+after the one-pass PAM scan, and BENCH_gap.json those of the gap search and
+ring MI before and after the Gabriel gap replaced the Delaunay one.
 """
 
 from __future__ import annotations
@@ -61,7 +62,16 @@ def test_pam_lower_bound_1d(benchmark, snr_db):
     assert 0.0 < rate <= 0.5 * np.log2(1.0 + P) and m >= 2
 
 
-@pytest.mark.parametrize("snr_db", [10.0, 20.0])
+@pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0, 35.0])
+def test_longest_gap(benchmark, snr_db):
+    # the lattice step's gap search on a ring (1,585 points at 30 dB,
+    # 4,876 at 35 dB)
+    c = lower_bounds.ring_constellation(np.sqrt(2.0 * 10.0 ** (snr_db / 10.0)))
+    gap = benchmark(lower_bounds._longest_gap, c.points)
+    assert 1.0 < gap < 4.0
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 20.0, 30.0])
 def test_ring_constellation_mi(benchmark, snr_db):
     # the 2-D sweep's ring_lower: one ring MI without its error estimate
     c = lower_bounds.ring_constellation(np.sqrt(2.0 * 10.0 ** (snr_db / 10.0)))

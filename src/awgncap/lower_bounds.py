@@ -253,26 +253,196 @@ def _support(c: Constellation):
     return c.points[keep], c.probs[keep]
 
 
-def _longest_gap(points) -> float:
-    """Longest edge between neighbouring points, 0 for a single point.
+# The 2-D gap search (_gabriel_gap) takes rows _GAP_BLOCK at a time, and
+# sorts them into vertical strips once there are more than _GAP_STRIPS.  A
+# pair longer than sqrt(2) times the nearest point of its cone cannot be a
+# Gabriel edge; _GAP_SLACK keeps that test clear of rounding.
+_GAP_BLOCK, _GAP_STRIPS = 64, 256
+_GAP_SLACK = 1.0 + 2.0 ** -40
 
-    The neighbours are those of the Delaunay triangulation in 2-D, and of the
-    sorted positions along the line in 1-D and for fewer than three or
-    collinear points in 2-D.
+
+def _longest_gap(points) -> float:
+    """Longest Gabriel edge, 0 for a single point.
+
+    A pair (i, j) is a Gabriel edge when no third point lies strictly inside
+    the disc with diameter ij: no k with (p_k - p_i).(p_k - p_j) < 0.  Only
+    across such a pair does the mixture density dip (see _step_for_gap);
+    where a third point lies between, it fills the dip.  In 1-D the Gabriel
+    edges are the neighbours along the sorted line, and collinear points in
+    2-D need no special case.  A Delaunay edge may instead be the diagonal
+    of a polygon of cocircular points, or the long side of a sliver
+    triangle of nearly collinear points.  Each 2-D length is
+    sqrt(dx^2 + dy^2).
     """
     if points.shape[1] == 2:
-        if points.shape[0] >= 3:
-            from scipy.spatial import Delaunay, QhullError
-            try:
-                corners = points[Delaunay(points).simplices]
-            except QhullError:  # collinear points have no triangle
-                pass
-            else:
-                edges = corners - np.roll(corners, 1, axis=1)
-                return float(np.sqrt(np.square(edges).sum(axis=2)).max())
-        centred = points - points.mean(axis=0)
-        points = centred @ np.linalg.svd(centred, full_matrices=False)[2][:1].T
+        return _gabriel_gap(points)
     return float(np.diff(np.sort(points[:, 0])).max(initial=0.0))
+
+
+def _cones(dx, dy):
+    """Cone 0..7 of each difference: 4 (dy < 0) + 2 (dx < 0) + (|dy| > |dx|).
+    Every cone lies in a closed 45-degree sector."""
+    c = (dy < 0).view(np.int8) << 2
+    c |= (dx < 0).view(np.int8) << 1
+    c |= np.abs(dy) > np.abs(dx)
+    return c
+
+
+def _empty_cones(x, y):
+    """(M, 8) booleans, True where cone c of point i provably holds no other
+    point.
+
+    Each closed cone is a quadrant {u_k >= u_i, v_k >= v_i} in coordinates
+    u, v made of x, y and x -/+ y, so i's cone is empty when no other point
+    dominates i there: one sort of u and a running maximum of v.  The u test
+    is widened by tau, which covers the rounding of x -/+ y and of the cone
+    test on differences, and any point within tau in u, a duplicate of i
+    included, counts as inside.
+    """
+    m = x.size
+    tau = 2.0 ** -46 * float(np.maximum(np.abs(x), np.abs(y)).max())
+    rank = np.arange(m)
+    diff, total = x - y, x + y
+    up, across = np.argsort(diff), np.argsort(total)
+    down, back = up[::-1], across[::-1]
+    out = np.empty((m, 8), dtype=bool)
+    # each cone's u, the order that sorts it, and v
+    for c, u, order, v in ((0, diff, up, y), (1, -diff, down, x),
+                           (2, -total, back, y), (3, total, across, -x),
+                           (4, total, across, -y), (5, -total, back, x),
+                           (6, -diff, down, -y), (7, diff, up, -x)):
+        us, vs = u[order], v[order]
+        later = np.empty(m)       # largest v over the ranks above each rank
+        later[-1] = -np.inf
+        np.maximum.accumulate(vs[:0:-1], out=later[-2::-1])
+        out[order, c] = (np.searchsorted(us, us - tau) == rank) & (later < vs)
+    return out
+
+
+def _blocked(x, y, i, j, k):
+    """Whether point k lies strictly inside the disc with diameter ij."""
+    return (x[k] - x[i]) * (x[k] - x[j]) + (y[k] - y[i]) * (y[k] - y[j]) < 0.0
+
+
+def _gap_block(x, y, rows, window, settle_sq, empty):
+    """One block of rows against the window of points that may hold their
+    Gabriel neighbours.
+
+    Returns which rows are settled, the nearest point of each of their
+    cones (the row itself for a cone with none) and their candidate pairs
+    (i, j, squared length) with i < j that neither cone-nearest point of i
+    blocks.  A candidate is at most sqrt(2) times as long as the nearest
+    point of its cone (see _gabriel_gap).  Only pairs shorter than
+    sqrt(settle_sq) are looked at, and a row is settled when each cone is
+    either empty (empty[rows]) or gives candidates that short: then the
+    window held every candidate and cone-nearest point.  With empty=None
+    the window is every point, settle_sq is inf and every row is settled.
+    """
+    dx = x[window] - x[rows, None]
+    dy = y[window] - y[rows, None]
+    d2 = dx * dx
+    d2 += dy * dy
+    # a point at the same place blocks nothing, so it stays out
+    look = (d2 > 0.0) & (d2 < settle_sq)
+    b, w = look.shape
+    bi = np.broadcast_to(np.arange(b)[:, None], (b, w))[look]
+    j = np.broadcast_to(window, (b, w))[look]
+    dx, dy, d2 = dx[look], dy[look], d2[look]
+    key = _cones(dx, dy) + 8 * bi
+    near = np.full(8 * b, np.inf)
+    np.minimum.at(near, key, d2)
+    nn = np.repeat(rows, 8)
+    at = d2 == near[key]
+    nn[key[at]] = j[at]
+    nn = nn.reshape(b, 8)
+    limit = near * (2.0 * _GAP_SLACK)
+    if empty is None:
+        settled = np.ones(b, dtype=bool)
+    else:
+        settled = ((limit.reshape(b, 8) < settle_sq) | empty[rows]).all(axis=1)
+    i = rows[bi]
+    cand = np.flatnonzero((d2 <= limit[key]) & settled[bi] & (i < j))
+    i, j, d2 = i[cand], j[cand], d2[cand]
+    free = ~_blocked(x, y, i[:, None], j[:, None], nn[bi[cand]]).any(axis=1)
+    return settled, nn, i[free], j[free], d2[free]
+
+
+def _gabriel_gap(points) -> float:
+    """Longest Gabriel edge of a 2-D point set, found exactly.
+
+    The search rests on two exact facts:
+    - Split the directions around point i into 8 cones of 45 degrees
+      (_cones) and let k be the nearest point in j's cone.  If d_ij^2 >
+      2 d_ik^2 then k blocks (i, j), so only pairs with d_ij^2 <= 2 d_ik^2
+      are candidates.
+    - A point at the same place as i or j blocks nothing, so it stays out
+      of the cone minima; otherwise it would prune every pair of its cone.
+    Each candidate is then tested against the cone-nearest points of both
+    ends, which removes most blocked pairs, and the rest, longest first,
+    against every point; the first that no point blocks is the answer.
+
+    Rows are compared with all points _GAP_BLOCK at a time.  Above
+    _GAP_STRIPS points they are first sorted into vertical strips R wide,
+    and by y within a strip.  R is 4 times the larger of sqrt(w h / M) and
+    max(w, h) / M for a w-by-h bounding box, a few typical spacings.  Each
+    block of a strip is compared with the points within R of its bounding
+    box.  The rows it
+    leaves unsettled, with a cone whose nearest point lies too far out or
+    that _empty_cones cannot prove empty, are redone against all points.
+    Temporaries grow with M times the block size.
+    """
+    m = points.shape[0]
+    x, y = points[:, 0], points[:, 1]
+    everything = np.arange(m)
+    nn = np.empty((m, 8), dtype=np.intp)
+    found = []
+    redo = everything
+    lo = points.min(axis=0)
+    w, h = (points.max(axis=0) - lo).tolist()
+    R = 4.0 * max(math.sqrt(w * h / m), max(w, h) / m)
+    if m > _GAP_STRIPS and 0.0 < R < math.inf:
+        strip = np.floor((x - lo[0]) / R)
+        order = np.lexsort((y, strip))
+        x, y, strip = x[order], y[order], strip[order]
+        empty = _empty_cones(x, y)
+        settle_sq = R * R * (1.0 - 2.0 ** -20)
+        ids, starts = np.unique(strip, return_index=True)
+        ends = np.append(starts[1:], m).tolist()
+        starts = starts.tolist()
+        redo = []
+        for t, s in enumerate(ids.tolist()):
+            beside = [(starts[u], ends[u]) for u in (t - 1, t, t + 1)
+                      if 0 <= u < ids.size and abs(ids[u] - s) <= 1.0]
+            for a in range(starts[t], ends[t], _GAP_BLOCK):
+                b = min(a + _GAP_BLOCK, ends[t])
+                ylo, yhi = y[a] - R, y[b - 1] + R
+                window = np.concatenate([
+                    np.arange(p + np.searchsorted(y[p:q], ylo),
+                              p + np.searchsorted(y[p:q], yhi, "right"))
+                    for p, q in beside])
+                settled, nn[a:b], *pairs = _gap_block(
+                    x, y, everything[a:b], window, settle_sq, empty)
+                found.append(pairs)
+                redo.append(everything[a:b][~settled])
+        redo = np.concatenate(redo)
+    for a in range(0, redo.size, _GAP_BLOCK):
+        rows = redo[a:a + _GAP_BLOCK]
+        _, nn[rows], *pairs = _gap_block(x, y, rows, everything, math.inf,
+                                         None)
+        found.append(pairs)
+    i, j, d2 = (np.concatenate(part) for part in zip(*found))
+    free = ~_blocked(x, y, i[:, None], j[:, None], nn[j]).any(axis=1)
+    i, j, d2 = i[free], j[free], d2[free]
+    order = np.argsort(d2)[::-1]
+    a, n = 0, 4
+    while a < order.size:
+        pick = order[a:a + n]
+        blocked = _blocked(x, y, i[pick, None], j[pick, None], slice(None))
+        hit = np.flatnonzero(~blocked.any(axis=1))
+        if hit.size:
+            return math.sqrt(float(d2[pick[hit[0]]]))
+        a, n = a + n, min(2 * n, _GAP_BLOCK)
+    return 0.0
 
 
 def _step_for_gap(gap: float) -> float:
@@ -358,8 +528,9 @@ def constellation_mi(c: Constellation, refine_check: bool = True) -> MiEstimate:
     geometrically in 1/h (Trefethen & Weideman, SIAM Review 2014); the rate
     is set by the widest gap between neighbouring points, across which the
     density dips, so h = 0.75 / gap clipped to [0.12, 0.3], with gap the
-    longest Delaunay edge in 2-D (the longest gap along the line in 1-D or
-    for collinear points).  Rings, packings, wide-gap and random sets agree
+    longest Gabriel edge: the longest pair whose diametral disc holds no
+    third point, the longest gap along the line in 1-D (see _longest_gap).
+    It needs only numpy.  Rings, packings, wide-gap and random sets agree
     with a far finer rule to about 1e-14 bits.  p_Y at the nodes comes from
     per-axis Gaussian factors in the linear domain, one matrix product in
     2-D, and -p log p is scipy.special.entr, which is 0 where p underflows

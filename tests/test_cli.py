@@ -356,11 +356,13 @@ class TestModuleEntryPoint:
         assert "minmax_verified" in self._run("-m", "awgncap", "--list-bounds")
 
     def test_import_loads_no_quadrature(self):
-        # the bounds need only numpy and scipy.special; quadrature, root
-        # finding, the Delaunay triangulation of the first ring MI, the
-        # independent references, the property suites and the process pool
-        # of sweep --jobs load when a command asks for them
-        out = self._run("-c", "import sys, awgncap, awgncap.cli; print(sorted("
+        # the bounds need only numpy and scipy.special, a 2-D ring MI
+        # included; quadrature, root finding, the independent references,
+        # the property suites and the process pool of sweep --jobs load when
+        # a command asks for them
+        out = self._run("-c", "import sys, awgncap, awgncap.cli; "
+                        "awgncap.constellation_mi("
+                        "awgncap.ring_constellation(4.0)); print(sorted("
                         "{'scipy.integrate', 'scipy.optimize', "
                         "'scipy.spatial', 'scipy.sparse', 'scipy.linalg', "
                         "'awgncap.oracles', 'awgncap.verify', "

@@ -372,9 +372,69 @@ for _g in (3.0, 7.5, 12.0):
 _WIDE_GAP_SETS["two_points_2d"] = [[0.0, 0.0], [6.0, 8.0]]
 
 
+def _gabriel_reference(points):
+    """The longest Gabriel edge by brute force: every pair (i, j) against
+    every point k, blocked when (p_k - p_i).(p_k - p_j) < 0; each length is
+    sqrt(dx^2 + dy^2), and 0 when no pair is free."""
+    x, y = points[:, 0], points[:, 1]
+    best = 0.0
+    for i in range(x.size):
+        # dot[j, k] for the pairs (i, j)
+        dot = (x - x[i]) * (x - x[:, None]) + (y - y[i]) * (y - y[:, None])
+        free = ~(dot < 0.0).any(axis=1)
+        free[i] = False
+        dx, dy = x[free] - x[i], y[free] - y[i]
+        best = max(best, float(np.sqrt(dx * dx + dy * dy).max(initial=0.0)))
+    return best
+
+
+def _random_gap_set(seed):
+    """A seeded set of 2 to 199 points of one of five kinds: a Gaussian
+    cloud, an integer grid (duplicate and cocircular points), one circle,
+    two far clusters, or points along one line."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 200))
+    kind = seed % 5
+    if kind == 0:
+        return rng.uniform(0.1, 10.0) * rng.standard_normal((m, 2))
+    if kind == 1:
+        k = int(rng.integers(1, 12))
+        return rng.integers(-k, k + 1, size=(m, 2)).astype(float)
+    if kind == 2:
+        t = rng.uniform(0.0, 2.0 * math.pi, m)
+        return rng.uniform(0.5, 20.0) * np.column_stack([np.cos(t), np.sin(t)])
+    if kind == 3:
+        pts = rng.standard_normal((m, 2))
+        pts[:m // 2] += rng.uniform(10.0, 100.0, size=2)
+        return pts
+    t = rng.uniform(-10.0, 10.0, m)
+    return np.outer(t, rng.standard_normal(2)) + rng.standard_normal(2)
+
+
+def _gap_sets():
+    sets = {}
+    for snr_db in range(-10, 21, 2):
+        A = math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
+        sets[f"ring_{snr_db}dB"] = lambda A=A: ring_constellation(A).points
+    for N in (4, 8, 16):
+        for alpha in (2.0, 4.0, 8.0):
+            sets[f"packing_N{N}_a{alpha:g}"] = (
+                lambda N=N, alpha=alpha:
+                a_n_constellation(N, delta_for_alpha(N, alpha)).points)
+    for seed in range(100):
+        sets[f"random_s{seed}"] = lambda seed=seed: _random_gap_set(seed)
+    return sets
+
+
+_GAP_SETS = _gap_sets()
+
+
 class TestLatticeRule:
     """The gap-adaptive lattice rule against the polar Gauss-Legendre rule
-    it replaced, where neighbouring points are far apart."""
+    it replaced, where neighbouring points are far apart, and its gap, the
+    longest Gabriel edge, against an O(M^3) brute force: through the single
+    window and, with the strip threshold lowered, through the strip windows
+    and the redone rows."""
 
     @pytest.mark.parametrize("name", sorted(_WIDE_GAP_SETS))
     def test_wide_gaps_match_polar_oracle(self, name):
@@ -388,15 +448,93 @@ class TestLatticeRule:
         def step(pts):
             return lower_bounds._lattice_step(np.array(pts, dtype=float))
 
+        def gap(pts):
+            return lower_bounds._longest_gap(np.array(pts, dtype=float))
+
         assert step([[0.0]]) == 0.3
         assert step([[0.0], [1.0], [4.0]]) == pytest.approx(0.25)
         assert step([[0.0], [100.0]]) == 0.12
-        # a square of side 2: the Delaunay diagonal, 2 sqrt(2), is longest
+        # a square of side 2: the diagonal, 2 sqrt(2), is a Gabriel edge,
+        # since the other two corners lie on its circle, not inside it
         assert step([[0, 0], [2, 0], [2, 2], [0, 2]]) == pytest.approx(
             0.75 / (2.0 * math.sqrt(2.0)))
         # collinear points and pairs are measured along their line
         assert step([[0, 0], [3, 4], [6, 8]]) == pytest.approx(0.15)
         assert step([[0, 0], [3, 4]]) == pytest.approx(0.15)
+        # the apex lies inside the disc on the long side of an obtuse
+        # triangle, so the gap is a short side (the Delaunay edge was 4)
+        assert gap([[0, 0], [4, 0], [2, 0.5]]) == pytest.approx(
+            math.sqrt(4.25), rel=1e-15)
+        assert step([[0, 0], [4, 0], [2, 0.5]]) == 0.3
+        # a line 1.5 apart, moved off itself by 1e-9, keeps its spacing
+        # (the sliver triangles' longest Delaunay edge made h 0.12)
+        line = np.column_stack([1.5 * np.arange(12), np.zeros(12)])
+        jitter = 1e-9 * np.random.default_rng(0).standard_normal(12)
+        jittered = line + np.column_stack([np.zeros(12), jitter])
+        assert gap(jittered) == pytest.approx(1.5, rel=1e-12)
+        assert step(jittered) == step(line) == 0.3
+        # the 0 dB ring, five points on one circle of radius rho = sqrt(2)
+        # at angles m theta, theta = 2 pi / (3 rho): the gap is the longest
+        # neighbour chord, not the polygon diagonal (2.817) Delaunay gave
+        rho = math.sqrt(2.0)
+        ring0 = ring_constellation(rho).points
+        assert ring0.shape == (5, 2)
+        chord = 2.0 * rho * math.sin(math.pi / (3.0 * rho))
+        assert gap(ring0) == pytest.approx(chord, rel=1e-14)
+        assert gap(ring0) == pytest.approx(1.908, abs=5e-4)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 25.0])
+    def test_duplicate_points_keep_the_gap(self, snr_db):
+        A = math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
+        pts = ring_constellation(A).points
+        doubled = np.concatenate([pts, pts[::3], pts[:1]])
+        assert lower_bounds._longest_gap(doubled) == \
+            lower_bounds._longest_gap(pts)
+
+    @pytest.mark.parametrize("name", sorted(_GAP_SETS))
+    def test_matches_brute_force(self, name, monkeypatch):
+        pts = _GAP_SETS[name]()
+        ref = _gabriel_reference(pts)
+        assert lower_bounds._longest_gap(pts) == pytest.approx(ref, rel=1e-15,
+                                                               abs=0.0)
+        monkeypatch.setattr(lower_bounds, "_GAP_STRIPS", 16)
+        assert lower_bounds._longest_gap(pts) == pytest.approx(ref, rel=1e-15,
+                                                               abs=0.0)
+
+    def test_empty_cones_hold_no_point(self):
+        claimed = 0
+        for seed in range(100):
+            pts = _random_gap_set(seed)
+            x, y = pts[:, 0], pts[:, 1]
+            empty = lower_bounds._empty_cones(x, y)
+            for i in range(x.size):
+                dx, dy = x - x[i], y - y[i]
+                apart = (dx != 0.0) | (dy != 0.0)
+                held = np.bincount(lower_bounds._cones(dx, dy)[apart],
+                                   minlength=8) > 0
+                assert not (empty[i] & held).any(), (seed, i)
+            claimed += int(empty.sum())
+        assert claimed > 0
+
+    @pytest.mark.parametrize("snr_db", [25.0, 30.0])
+    def test_ring_rows_settle_in_their_strip_windows(self, snr_db,
+                                                      monkeypatch):
+        # hull rows settle through their empty cones, so no row is redone
+        # against every point
+        redone = []
+        block = lower_bounds._gap_block
+
+        def recording(x, y, rows, window, settle_sq, empty):
+            if empty is None:
+                redone.append(rows.size)
+            return block(x, y, rows, window, settle_sq, empty)
+
+        monkeypatch.setattr(lower_bounds, "_gap_block", recording)
+        A = math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
+        pts = ring_constellation(A).points
+        assert pts.shape[0] > lower_bounds._GAP_STRIPS
+        assert lower_bounds._longest_gap(pts) > 0.0
+        assert redone == []
 
 
 class TestPamLowerBound:
