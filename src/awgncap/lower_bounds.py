@@ -253,11 +253,10 @@ def _support(c: Constellation):
     return c.points[keep], c.probs[keep]
 
 
-# The 2-D gap search (_gabriel_gap) takes rows _GAP_BLOCK at a time, and
-# sorts them into vertical strips once there are more than _GAP_STRIPS.  A
-# pair longer than sqrt(2) times the nearest point of its cone cannot be a
-# Gabriel edge; _GAP_SLACK keeps that test clear of rounding.
-_GAP_BLOCK, _GAP_STRIPS = 64, 256
+# The 2-D gap search (_gabriel_gap) compares about _GAP_PAIRS pairs at a
+# time.  A pair longer than sqrt(2) times the nearest point of its cone
+# cannot be a Gabriel edge; _GAP_SLACK keeps that test clear of rounding.
+_GAP_PAIRS = 2 ** 14
 _GAP_SLACK = 1.0 + 2.0 ** -40
 
 
@@ -288,83 +287,42 @@ def _cones(dx, dy):
     return c
 
 
-def _empty_cones(x, y):
-    """(M, 8) booleans, True where cone c of point i provably holds no other
-    point.
-
-    Each closed cone is a quadrant {u_k >= u_i, v_k >= v_i} in coordinates
-    u, v made of x, y and x -/+ y, so i's cone is empty when no other point
-    dominates i there: one sort of u and a running maximum of v.  The u test
-    is widened by tau, which covers the rounding of x -/+ y and of the cone
-    test on differences, and any point within tau in u, a duplicate of i
-    included, counts as inside.
-    """
-    m = x.size
-    tau = 2.0 ** -46 * float(np.maximum(np.abs(x), np.abs(y)).max())
-    rank = np.arange(m)
-    diff, total = x - y, x + y
-    up, across = np.argsort(diff), np.argsort(total)
-    down, back = up[::-1], across[::-1]
-    out = np.empty((m, 8), dtype=bool)
-    # each cone's u, the order that sorts it, and v
-    for c, u, order, v in ((0, diff, up, y), (1, -diff, down, x),
-                           (2, -total, back, y), (3, total, across, -x),
-                           (4, total, across, -y), (5, -total, back, x),
-                           (6, -diff, down, -y), (7, diff, up, -x)):
-        us, vs = u[order], v[order]
-        later = np.empty(m)       # largest v over the ranks above each rank
-        later[-1] = -np.inf
-        np.maximum.accumulate(vs[:0:-1], out=later[-2::-1])
-        out[order, c] = (np.searchsorted(us, us - tau) == rank) & (later < vs)
-    return out
-
-
 def _blocked(x, y, i, j, k):
     """Whether point k lies strictly inside the disc with diameter ij."""
     return (x[k] - x[i]) * (x[k] - x[j]) + (y[k] - y[i]) * (y[k] - y[j]) < 0.0
 
 
-def _gap_block(x, y, rows, window, settle_sq, empty):
-    """One block of rows against the window of points that may hold their
-    Gabriel neighbours.
+def _gap_block(x, y, rows):
+    """One block of rows against every point.
 
-    Returns which rows are settled, the nearest point of each of their
-    cones (the row itself for a cone with none) and their candidate pairs
-    (i, j, squared length) with i < j that neither cone-nearest point of i
-    blocks.  A candidate is at most sqrt(2) times as long as the nearest
-    point of its cone (see _gabriel_gap).  Only pairs shorter than
-    sqrt(settle_sq) are looked at, and a row is settled when each cone is
-    either empty (empty[rows]) or gives candidates that short: then the
-    window held every candidate and cone-nearest point.  With empty=None
-    the window is every point, settle_sq is inf and every row is settled.
+    Returns the nearest point of each cone of each row (the row itself for
+    a cone with none) and the rows' candidate pairs (i, j, squared length)
+    with i < j that no cone-nearest point of i blocks.  A candidate is
+    shorter than sqrt(2 _GAP_SLACK) times the nearest point of its cone
+    (see _gabriel_gap).
     """
-    dx = x[window] - x[rows, None]
-    dy = y[window] - y[rows, None]
+    dx = x - x[rows, None]
+    dy = y - y[rows, None]
     d2 = dx * dx
     d2 += dy * dy
     # a point at the same place blocks nothing, so it stays out
-    look = (d2 > 0.0) & (d2 < settle_sq)
-    b, w = look.shape
-    bi = np.broadcast_to(np.arange(b)[:, None], (b, w))[look]
-    j = np.broadcast_to(window, (b, w))[look]
-    dx, dy, d2 = dx[look], dy[look], d2[look]
-    key = _cones(dx, dy) + 8 * bi
+    d2[d2 == 0.0] = np.inf
+    b = rows.size
+    key = _cones(dx, dy).astype(np.intp)
+    key += np.arange(0, 8 * b, 8)[:, None]
     near = np.full(8 * b, np.inf)
-    np.minimum.at(near, key, d2)
+    np.minimum.at(near, key.ravel(), d2.ravel())
+    r, j = np.nonzero(d2 < (near * (2.0 * _GAP_SLACK))[key])
+    key, d2 = key[r, j], d2[r, j]
     nn = np.repeat(rows, 8)
     at = d2 == near[key]
     nn[key[at]] = j[at]
     nn = nn.reshape(b, 8)
-    limit = near * (2.0 * _GAP_SLACK)
-    if empty is None:
-        settled = np.ones(b, dtype=bool)
-    else:
-        settled = ((limit.reshape(b, 8) < settle_sq) | empty[rows]).all(axis=1)
-    i = rows[bi]
-    cand = np.flatnonzero((d2 <= limit[key]) & settled[bi] & (i < j))
-    i, j, d2 = i[cand], j[cand], d2[cand]
-    free = ~_blocked(x, y, i[:, None], j[:, None], nn[bi[cand]]).any(axis=1)
-    return settled, nn, i[free], j[free], d2[free]
+    i = rows[r]
+    pair = i < j
+    r, i, j, d2 = r[pair], i[pair], j[pair], d2[pair]
+    free = ~_blocked(x, y, i[:, None], j[:, None], nn[r]).any(axis=1)
+    return nn, i[free], j[free], d2[free]
 
 
 def _gabriel_gap(points) -> float:
@@ -381,67 +339,32 @@ def _gabriel_gap(points) -> float:
     ends, which removes most blocked pairs, and the rest, longest first,
     against every point; the first that no point blocks is the answer.
 
-    Rows are compared with all points _GAP_BLOCK at a time.  Above
-    _GAP_STRIPS points they are first sorted into vertical strips R wide,
-    and by y within a strip.  R is 4 times the larger of sqrt(w h / M) and
-    max(w, h) / M for a w-by-h bounding box, a few typical spacings.  Each
-    block of a strip is compared with the points within R of its bounding
-    box.  The rows it
-    leaves unsettled, with a cone whose nearest point lies too far out or
-    that _empty_cones cannot prove empty, are redone against all points.
-    Temporaries grow with M times the block size.
+    Every point is compared with every other, rows taken _GAP_PAIRS / M at
+    a time (at least one), so the time grows with M^2 whatever the layout
+    (Delaunay takes M log M); temporaries hold about max(M, _GAP_PAIRS)
+    numbers, never M^2.
     """
     m = points.shape[0]
     x, y = points[:, 0], points[:, 1]
-    everything = np.arange(m)
     nn = np.empty((m, 8), dtype=np.intp)
     found = []
-    redo = everything
-    lo = points.min(axis=0)
-    w, h = (points.max(axis=0) - lo).tolist()
-    R = 4.0 * max(math.sqrt(w * h / m), max(w, h) / m)
-    if m > _GAP_STRIPS and 0.0 < R < math.inf:
-        strip = np.floor((x - lo[0]) / R)
-        order = np.lexsort((y, strip))
-        x, y, strip = x[order], y[order], strip[order]
-        empty = _empty_cones(x, y)
-        settle_sq = R * R * (1.0 - 2.0 ** -20)
-        ids, starts = np.unique(strip, return_index=True)
-        ends = np.append(starts[1:], m).tolist()
-        starts = starts.tolist()
-        redo = []
-        for t, s in enumerate(ids.tolist()):
-            beside = [(starts[u], ends[u]) for u in (t - 1, t, t + 1)
-                      if 0 <= u < ids.size and abs(ids[u] - s) <= 1.0]
-            for a in range(starts[t], ends[t], _GAP_BLOCK):
-                b = min(a + _GAP_BLOCK, ends[t])
-                ylo, yhi = y[a] - R, y[b - 1] + R
-                window = np.concatenate([
-                    np.arange(p + np.searchsorted(y[p:q], ylo),
-                              p + np.searchsorted(y[p:q], yhi, "right"))
-                    for p, q in beside])
-                settled, nn[a:b], *pairs = _gap_block(
-                    x, y, everything[a:b], window, settle_sq, empty)
-                found.append(pairs)
-                redo.append(everything[a:b][~settled])
-        redo = np.concatenate(redo)
-    for a in range(0, redo.size, _GAP_BLOCK):
-        rows = redo[a:a + _GAP_BLOCK]
-        _, nn[rows], *pairs = _gap_block(x, y, rows, everything, math.inf,
-                                         None)
+    step = max(1, _GAP_PAIRS // m)
+    for a in range(0, m, step):
+        rows = np.arange(a, min(a + step, m))
+        nn[rows], *pairs = _gap_block(x, y, rows)
         found.append(pairs)
     i, j, d2 = (np.concatenate(part) for part in zip(*found))
     free = ~_blocked(x, y, i[:, None], j[:, None], nn[j]).any(axis=1)
     i, j, d2 = i[free], j[free], d2[free]
     order = np.argsort(d2)[::-1]
-    a, n = 0, 4
+    a, n = 0, 1
     while a < order.size:
         pick = order[a:a + n]
         blocked = _blocked(x, y, i[pick, None], j[pick, None], slice(None))
         hit = np.flatnonzero(~blocked.any(axis=1))
         if hit.size:
             return math.sqrt(float(d2[pick[hit[0]]]))
-        a, n = a + n, min(2 * n, _GAP_BLOCK)
+        a, n = a + n, min(2 * n, step)
     return 0.0
 
 
@@ -530,13 +453,14 @@ def constellation_mi(c: Constellation, refine_check: bool = True) -> MiEstimate:
     density dips, so h = 0.75 / gap clipped to [0.12, 0.3], with gap the
     longest Gabriel edge: the longest pair whose diametral disc holds no
     third point, the longest gap along the line in 1-D (see _longest_gap).
-    It needs only numpy.  Rings, packings, wide-gap and random sets agree
-    with a far finer rule to about 1e-14 bits.  p_Y at the nodes comes from
-    per-axis Gaussian factors in the linear domain, one matrix product in
-    2-D, and -p log p is scipy.special.entr, which is 0 where p underflows
-    far from every point (see _entropy_lattice).  The error estimate is the
-    disagreement with the same rule at spacing 0.75 h, skipped when
-    refine_check=False.
+    It needs only numpy; in 2-D it compares every pair of points, so its
+    time grows with M^2 (see _gabriel_gap).  Rings, packings, wide-gap and
+    random sets agree with a far finer rule to about 1e-14 bits.  p_Y at
+    the nodes comes from per-axis Gaussian factors in the linear domain, one
+    matrix product in 2-D, and -p log p is scipy.special.entr, which is 0
+    where p underflows far from every point (see _entropy_lattice).  The
+    error estimate is the disagreement with the same rule at spacing 0.75 h,
+    skipped when refine_check=False.
     """
     points, w = _support(c)
     step = _lattice_step(points)

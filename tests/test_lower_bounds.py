@@ -432,9 +432,8 @@ _GAP_SETS = _gap_sets()
 class TestLatticeRule:
     """The gap-adaptive lattice rule against the polar Gauss-Legendre rule
     it replaced, where neighbouring points are far apart, and its gap, the
-    longest Gabriel edge, against an O(M^3) brute force: through the single
-    window and, with the strip threshold lowered, through the strip windows
-    and the redone rows."""
+    longest Gabriel edge, against an O(M^3) brute force: in blocks of
+    several rows and, with the block size lowered, one row at a time."""
 
     @pytest.mark.parametrize("name", sorted(_WIDE_GAP_SETS))
     def test_wide_gaps_match_polar_oracle(self, name):
@@ -497,44 +496,9 @@ class TestLatticeRule:
         ref = _gabriel_reference(pts)
         assert lower_bounds._longest_gap(pts) == pytest.approx(ref, rel=1e-15,
                                                                abs=0.0)
-        monkeypatch.setattr(lower_bounds, "_GAP_STRIPS", 16)
+        monkeypatch.setattr(lower_bounds, "_GAP_PAIRS", 1)
         assert lower_bounds._longest_gap(pts) == pytest.approx(ref, rel=1e-15,
                                                                abs=0.0)
-
-    def test_empty_cones_hold_no_point(self):
-        claimed = 0
-        for seed in range(100):
-            pts = _random_gap_set(seed)
-            x, y = pts[:, 0], pts[:, 1]
-            empty = lower_bounds._empty_cones(x, y)
-            for i in range(x.size):
-                dx, dy = x - x[i], y - y[i]
-                apart = (dx != 0.0) | (dy != 0.0)
-                held = np.bincount(lower_bounds._cones(dx, dy)[apart],
-                                   minlength=8) > 0
-                assert not (empty[i] & held).any(), (seed, i)
-            claimed += int(empty.sum())
-        assert claimed > 0
-
-    @pytest.mark.parametrize("snr_db", [25.0, 30.0])
-    def test_ring_rows_settle_in_their_strip_windows(self, snr_db,
-                                                      monkeypatch):
-        # hull rows settle through their empty cones, so no row is redone
-        # against every point
-        redone = []
-        block = lower_bounds._gap_block
-
-        def recording(x, y, rows, window, settle_sq, empty):
-            if empty is None:
-                redone.append(rows.size)
-            return block(x, y, rows, window, settle_sq, empty)
-
-        monkeypatch.setattr(lower_bounds, "_gap_block", recording)
-        A = math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
-        pts = ring_constellation(A).points
-        assert pts.shape[0] > lower_bounds._GAP_STRIPS
-        assert lower_bounds._longest_gap(pts) > 0.0
-        assert redone == []
 
 
 class TestPamLowerBound:
