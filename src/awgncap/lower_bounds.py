@@ -79,7 +79,9 @@ class Constellation:
     @classmethod
     def from_table(cls, text: str) -> "Constellation":
         rows = [line.split() for line in text.splitlines() if line.strip()]
-        vals = np.array([[float(v) for v in r] for r in rows])
+        # no rows: an empty set, which the constructor rejects
+        vals = (np.array([[float(v) for v in r] for r in rows]) if rows
+                else np.zeros((0, 2)))
         return cls(points=vals[:, :-1], probs=vals[:, -1])
 
     @classmethod
@@ -113,16 +115,21 @@ def ring_constellation(A: float) -> Constellation:
     return Constellation.equiprobable(np.array(pts))
 
 
+def _check_packing(N: int, Delta: float | None = None) -> None:
+    """Raise ValueError unless N is an integer >= 2 and Delta, if given, > 0."""
+    if not 2 <= N < math.inf or N != int(N):
+        raise ValueError(f"N must be an integer >= 2, got {N}")
+    if Delta is not None and not Delta > 0:
+        raise ValueError(f"Delta must be positive, got {Delta}")
+
+
 def a_n_constellation(N: int, Delta: float) -> Constellation:
     """N^2-point ring packing: origin plus 2n+1 points at radius (n+0.5)Delta.
 
     Ring n (n = 1..N-1) holds the points (n+0.5) Delta e^{j (l+0.5) theta_n},
     l = 0..2n, theta_n = 2 pi/(2n+1); the peak amplitude is (N-0.5) Delta.
     """
-    if N < 2 or N != int(N):
-        raise ValueError(f"N must be an integer >= 2, got {N}")
-    if not Delta > 0:
-        raise ValueError(f"Delta must be positive, got {Delta}")
+    _check_packing(N, Delta)
     pts = [(0.0, 0.0)]
     for n in range(1, N):
         theta = 2.0 * math.pi / (2 * n + 1)
@@ -161,10 +168,7 @@ def constellation_moments(N: int, Delta: float) -> ConstellationMoments:
     (Delta^2/N^2) sum_{n=1}^{N-1} (2n+1)[(n^2+n+1/3) sinc(pi/(2n+1))
     - (n^2+n+1/4)], both exact.
     """
-    if N < 2 or N != int(N):
-        raise ValueError(f"N must be an integer >= 2, got {N}")
-    if not Delta > 0:
-        raise ValueError(f"Delta must be positive, got {Delta}")
+    _check_packing(N, Delta)
     P_N = Delta ** 2 / 2.0 * (N ** 2 - 0.5 * (1.0 + 1.0 / N ** 2))
     n = np.arange(1, N, dtype=float)
     rho_P = Delta ** 2 / N ** 2 * float(np.sum(
@@ -175,6 +179,7 @@ def constellation_moments(N: int, Delta: float) -> ConstellationMoments:
 
 def delta_for_alpha(N: int, alpha: float) -> float:
     """Spacing Delta making N^2 = alpha (1 + P_N/2) hold exactly."""
+    _check_packing(N)
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     P_N = 2.0 * (N ** 2 / alpha - 1.0)

@@ -74,7 +74,7 @@ class ChannelConfig:
     A: float
 
     def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
+        if not 1 <= self.n < math.inf or self.n != int(self.n):
             raise ValueError(
                 f"dimension n must be an integer >= 1, got {self.n}")
         if not 0.0 < self.A < math.inf:

@@ -1,6 +1,7 @@
 """CLI tests: CSV sweeps, point queries, verification driver, exit codes."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -8,10 +9,12 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import awgncap
-from awgncap import cli, oracles, verify
+from awgncap import (cli, lower_bounds, oracles, radial, upper_bounds,
+                     verify)
 from awgncap.cli import available_bounds, compute_bound, main
 from awgncap.lower_bounds import constellation_mi, ring_constellation
 
@@ -387,17 +390,58 @@ class TestVerifyCommand:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_sign_flip_trips_positivity(self, monkeypatch, capsys):
-        real = oracles.g_tilde_n
+    def test_failing_check_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracles, "marcum_q1", lambda a, b: 2.0)
+        assert main(["verify", "--suite", "specfun"]) == 1
+        assert "[FAIL] specfun/marcum_b0_is_one" in capsys.readouterr().out
 
-        def flipped(n, x, A):
-            return -real(n, x, A)
+    def test_sign_flip_trips_positivity(self, monkeypatch):
+        monkeypatch.setattr(oracles, "g_tilde_n", lambda n, x, A: -1e-3)
+        assert not verify.CHECKS["radial/g_tilde_positive"](0).passed
 
-        monkeypatch.setattr(oracles, "g_tilde_n", flipped)
-        rc = main(["verify", "--suite", "radial"])
-        out = capsys.readouterr().out
-        assert rc == 1
-        assert "[FAIL] radial/g_tilde_positive" in out
+
+def _dip_once(n, xs, A):
+    # a panel rule whose Q steps down once, mid-grid
+    Q = np.linspace(0.0, 1.0, len(xs))
+    Q[len(xs) // 2] -= 0.5
+    return Q, np.linspace(0.0, 1.0, len(xs))
+
+
+def _moved(field, by, where=lambda *args: True):
+    """A fault: the real result with `field` moved by `by` where(*args)."""
+    def plant(real):
+        def fake(*args, **kw):
+            out = real(*args, **kw)
+            moved = {field: getattr(out, field) + by}
+            return dataclasses.replace(out, **moved) if where(*args) else out
+        return fake
+    return plant
+
+
+# name -> (module, attribute, fault from the real function, checks it fails)
+PLANTED_FAULTS = {
+    "q_dips_once": (radial, "radial_pair_grid", lambda real: _dip_once,
+                    ["radial/q_g_nondecreasing_in_x"]),
+    "beta_star_nudged": (upper_bounds, "beta_star",
+                         lambda real: lambda n, A: real(n, A) + 1e-6,
+                         ["upper/beta_star_equalizes_endpoints"]),
+    "envelope_dips_at_8db": (upper_bounds, "envelope",
+                             _moved("rate_bits", -1.0, lambda n, P: 6 < P < 7),
+                             ["upper/envelope_nondecreasing_in_snr"]),
+    "mi_lifted_1e-9": (lower_bounds, "constellation_mi", _moved("bits", 1e-9),
+                       ["lower/mi_lattice_vs_polar"]),
+    "lower_above_envelope": (lower_bounds, "volume_lower_bound",
+                             lambda real: lambda n, P: real(n, P) + 1.0,
+                             ["lower/sandwich_lower_below_envelope",
+                              "lower/sandwich_on_criterion_sweeps"]),
+}
+
+
+@pytest.mark.parametrize("fault", list(PLANTED_FAULTS))
+def test_planted_fault_fails_its_check(monkeypatch, fault):
+    module, attr, plant, names = PLANTED_FAULTS[fault]
+    monkeypatch.setattr(module, attr, plant(getattr(module, attr)))
+    assert not any(verify.CHECKS[name](0).passed for name in names)
 
 
 class TestSweepRequest:

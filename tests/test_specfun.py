@@ -98,10 +98,6 @@ class TestBesselI0Scaled:
 
 
 class TestMarcumQ1:
-    def test_b_zero_gives_one(self):
-        for a in (0.0, 0.5, 1.0, 5.0, 20.0):
-            assert oracles.marcum_q1(a, 0.0) == pytest.approx(1.0, abs=1e-12)
-
     def test_a_zero_rayleigh_tail(self):
         for b in (0.3, 1.0, 2.5):
             assert oracles.marcum_q1(0.0, b) == pytest.approx(
