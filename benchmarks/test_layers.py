@@ -1,5 +1,6 @@
 """Layer microbenchmarks: the angular kernel, the one-point radial pair, the
-PAM scan, the 2-D gap search and the 2-D ring constellation MI.
+closed-form radial grid, the refined bound's threshold, the PAM scan, the
+2-D gap search and the 2-D ring constellation MI.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # once each
@@ -8,8 +9,10 @@ Needs pytest-benchmark.  The tier-1 run collects only tests/, so these are
 never timed there.  At the repository root, BENCH_kernel.json holds medians
 of the kernel and radial benchmarks before and after the in-place angular
 kernel, BENCH_pam.json those of the PAM scan and ring MI before and
-after the one-pass PAM scan, and BENCH_gap.json those of the gap search and
-ring MI before and after the Gabriel gap replaced the Delaunay one.
+after the one-pass PAM scan, BENCH_gap.json those of the gap search and
+ring MI before and after the Gabriel gap replaced the Delaunay one, and
+BENCH_scipyfree.json those of the closed-form radial grid and the threshold
+before and after the half-integer gamma chain replaced scipy.special.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from awgncap import lower_bounds, radial, specfun
+from awgncap import lower_bounds, radial, specfun, upper_bounds
 
 # 1,120 arguments per route: what the panel rule's second pass at x = A hands
 # the kernel (the 3,200 nodes on [A, A + 40] with |z - A| < 14); at 25 dB
@@ -52,6 +55,57 @@ def test_radial_pair_grid_endpoint(benchmark, n, snr_db):
     A = radial.ChannelConfig.from_snr_db(n, snr_db).A
     Q, G = benchmark(radial.radial_pair_grid, n, [A], A)
     assert 0.0 < Q[0] < 1.0 and G[0] > 0.0
+
+
+# the band centres of the verified min-max query stream
+VERIFIED_SNR_DB = [-5.0, 5.0, 15.0, 25.0]
+
+
+def _forget_last_chain():
+    # radial_pair_ncx2 reuses the incomplete-gamma chain of its last call
+    # at the same A; each round starts without it
+    if hasattr(radial, "_last_chain"):
+        radial._last_chain = (np.nan, np.empty(0))
+
+
+@pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_radial_pair_ncx2_grid(benchmark, n, snr_db):
+    # the verified min-max route's 513-point closed-form grid on [0, A]
+    A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+    Q, G = benchmark.pedantic(radial.radial_pair_ncx2,
+                              (n, np.linspace(0.0, A, 513), A),
+                              setup=_forget_last_chain, rounds=50)
+    assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
+
+
+@pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_radial_pair_ncx2_refine(benchmark, n, snr_db):
+    # its 17-point refinement across the grid's last two cells, timed as
+    # the route calls it: right after the grid call at the same A
+    A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+    grid = np.linspace(0.0, A, 513)
+    xs = np.linspace(A * (1.0 - 2.0 / 512), A, 17)
+
+    def after_grid():
+        _forget_last_chain()
+        radial.radial_pair_ncx2(n, grid, A)
+
+    Q, G = benchmark.pedantic(radial.radial_pair_ncx2, (n, xs, A),
+                              setup=after_grid, rounds=100)
+    assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_amplitude_threshold(benchmark, n):
+    # the refined bound's threshold A*_n from a cleared cache, as a fresh
+    # process computes it at set-up
+    def fresh():
+        upper_bounds.amplitude_threshold.cache_clear()
+        return upper_bounds.amplitude_threshold(n)
+
+    assert 2.0 < benchmark(fresh) < 7.0
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0])

@@ -7,8 +7,8 @@ entropy-power inequality.  Rates are bits per n-dimensional channel use
 with SNR P = A^2/n at unit noise variance per dimension.
 """
 
-from .specfun import (bessel_i0_scaled, binary_entropy_nats, gamma_half,
-                      gauss_pdf, q_func, tilde_i_n, tilde_i_n_scaled)
+from .specfun import (binary_entropy_nats, gamma_half, gauss_pdf, q_func,
+                      tilde_i_n, tilde_i_n_scaled)
 from .radial import QuadratureError, RadialFunctions, k_n_closed, vol_ball
 from .upper_bounds import (BoundPoint, ChannelConfig, MinmaxDetail,
                            amplitude_threshold, avg_power, beta_star, d_n,

@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
             _write_csv(sys.stdout, rows)
             return 0
         if args.command == "verify":
-            # the suites load scipy.integrate; the bounds need only special
+            # the suites load scipy; the bounds need only numpy
             from . import verify
 
             results = verify.run_suite(args.suite, seed=args.seed)

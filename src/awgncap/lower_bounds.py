@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import radial
 from .radial import ChannelConfig
@@ -399,6 +398,21 @@ def _axis_kernel(axis, coords):
     return np.exp(e, out=e)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _sum_neg_plogp(p) -> float:
+    """sum of -p log p over an array p >= 0, where p = 0 adds its limit 0.
+
+    log is taken of max(p, tiny): a subnormal p adds p log(tiny), within
+    1e-305 of p log p, and a zero adds exactly 0.
+    """
+    plogp = np.maximum(p, _TINY)
+    np.log(plogp, out=plogp)
+    plogp *= p
+    return -float(plogp.sum())
+
+
 def _entropy_lattice(points, w, step):
     """h(Y) in nats: step^dim * sum of -p log p over the nodes of step Z^dim
     in [min - 10, max + 10] (1-D) or the disk of radius peak + 10 (2-D).
@@ -408,8 +422,8 @@ def _entropy_lattice(points, w, step):
     / 2): p = E_1 w / sqrt(2 pi) in 1-D and p = (E_1 diag(w)) E_2^T / (2 pi)
     on the whole square in 2-D, one matrix product, then masked to the disk.
     That is 2 sqrt(K) M exponentials for K nodes and M points, not K M.
-    Far from every point p underflows to 0, where entr(0) = 0 is the exact
-    limit of -p log p.
+    Far from every point p underflows to 0, where 0 is the exact limit of
+    -p log p.
     """
     dim = points.shape[1]
     if dim == 1:
@@ -426,7 +440,7 @@ def _entropy_lattice(points, w, step):
         e1 *= w / (2.0 * math.pi)
         sq = np.square(axis)
         p = (e1 @ _axis_kernel(axis, points[:, 1]).T)[sq[:, None] + sq <= R * R]
-    return float(special.entr(p).sum()) * step ** dim
+    return _sum_neg_plogp(p) * step ** dim
 
 
 def _mi_bits(h: float, m: int, power: float, dim: int) -> float:
@@ -462,8 +476,8 @@ def constellation_mi(c: Constellation, refine_check: bool = True) -> MiEstimate:
     time grows with M^2 (see _gabriel_gap).  Rings, packings, wide-gap and
     random sets agree with a far finer rule to about 1e-14 bits.  p_Y at
     the nodes comes from per-axis Gaussian factors in the linear domain, one
-    matrix product in 2-D, and -p log p is scipy.special.entr, which is 0
-    where p underflows far from every point (see _entropy_lattice).  The
+    matrix product in 2-D, and -p log p is taken as 0 where p underflows
+    far from every point (see _entropy_lattice).  The
     error estimate is the disagreement with the same rule at spacing 0.75 h,
     skipped when refine_check=False.
     """

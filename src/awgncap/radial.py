@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from . import specfun
 from .specfun import gamma_half, gauss_pdf, q_func
@@ -160,7 +159,7 @@ def _grid_xs(n: int, xs, A: float):
     """xs as a 1-D float array, for a valid channel and x values in [0, A]."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ChannelConfig(n, A)
-    if np.any((xs < 0) | (xs > A * (1 + 1e-12))):
+    if ((xs < 0) | (xs > A * (1 + 1e-12))).any():
         raise ValueError("grid x values must lie in [0, A]")
     return xs
 
@@ -179,8 +178,12 @@ def radial_pair_grid(n: int, xs, A: float):
     if xs.size == 0:
         return np.empty(0), np.empty(0)
     if n == 1:
-        Q = q_func(A - xs) + q_func(A + xs)
-        G = 0.5 * Q + 0.5 * (g_edge(A - xs) + g_edge(A + xs))
+        # one q_func call over both edges; g is g_edge(u) with its Q(u) reused
+        u = np.concatenate((A - xs, A + xs))
+        q = q_func(u)
+        g = np.square(u) * q - u * gauss_pdf(u)
+        Q = q[:xs.size] + q[xs.size:]
+        G = 0.5 * Q + 0.5 * (g[:xs.size] + g[xs.size:])
         return Q, G
 
     zmax = max(A, float(xs.max())) + _TRUNCATION_SIGMA
@@ -227,6 +230,7 @@ _LOG_FLOOR = -690.0
 # (x, k) entries summed per block in radial_pair_ncx2: small enough to stay
 # in cache, which makes the grid about 1.5x faster than blocks of 2^18
 _BLOCK_ENTRIES = 1 << 14
+_TINY = np.finfo(float).tiny
 
 
 def _log_gamma_ratio_half(a):
@@ -239,14 +243,26 @@ def _log_gamma_ratio_half(a):
     a = np.asarray(a, dtype=float)
     out = np.empty_like(a)
     small = a < 30.0
-    s = a[small]
-    out[small] = np.log(special.gamma(s + 0.5) / special.gamma(s))
+    out[small] = [math.log(math.gamma(s + 0.5) / math.gamma(s))
+                  for s in a[small]]
     big = a[~small]
     r = 1.0 / big
     r2 = r * r
     out[~small] = 0.5 * np.log(big) - r * (
         1.0 / 8 - r2 * (1.0 / 192 - r2 * (1.0 / 640 - r2 * (17.0 / 14336))))
     return out
+
+
+@lru_cache(maxsize=None)
+def _k_tables(n: int, cap: int):
+    """log k! and c_m = sqrt(2) Gamma((m+1)/2)/Gamma(m/2) at m = n + 2k,
+    k = 0..cap-1: radial_pair_ncx2's tables that do not depend on A,
+    read-only."""
+    log_fact = specfun.log_factorial(np.arange(cap))
+    c = math.sqrt(2.0) * np.exp(_log_gamma_ratio_half(0.5 * n
+                                                      + np.arange(cap)))
+    log_fact.flags.writeable = c.flags.writeable = False
+    return log_fact, c
 
 
 def _poisson_window(n: int, xs, A: float, sigmas: float):
@@ -259,37 +275,61 @@ def _poisson_window(n: int, xs, A: float, sigmas: float):
     the terms sit from the Poisson mean x^2/2.
     """
     b = 0.25 * (n - 2)
-
-    def k_star(r):
-        return np.maximum(np.sqrt(b * b + np.square(0.5 * xs * r)) - b - 0.5,
-                          0.0)
-
-    k_lo = k_star(A)
-    k_hi = k_star(np.maximum(A, xs) + 10.0)
-    lo = np.floor(k_lo - sigmas * np.sqrt(k_lo + 1.0) - 10.0)
-    hi = np.ceil(k_hi + sigmas * np.sqrt(k_hi + 1.0) + 10.0)
+    # k* at r = A (row 0) and at r = max(A, x) + 10 (row 1)
+    r = np.empty((2, xs.size))
+    r[0] = A
+    np.add(np.maximum(A, xs), 10.0, out=r[1])
+    k = np.maximum(np.sqrt(b * b + np.square(0.5 * xs * r)) - b - 0.5, 0.0)
+    spread = sigmas * np.sqrt(k + 1.0)
+    lo = np.floor(k[0] - spread[0] - 10.0)
+    hi = np.ceil(k[1] + spread[1] + 10.0)
     return np.maximum(lo, 0.0).astype(np.int64), hi.astype(np.int64)
+
+
+# the last chain of log Gbar values and its y: the verified min-max route's
+# grid call and its refinement at the same A share one chain
+_last_chain = (math.nan, np.empty(0))
+
+
+def _log_gbar_chain(y: float, m_last: int):
+    """specfun.log_gamma_q_half(y, m) for some m >= m_last, read-only.
+
+    Reuses the last chain when y matches and it is long enough; a chain is
+    a deterministic function of (y, m), so a hit returns the bits a fresh
+    evaluation would.
+    """
+    global _last_chain
+    last_y, chain = _last_chain
+    if last_y == y and chain.size > m_last:
+        return chain
+    chain = specfun.log_gamma_q_half(y, m_last)
+    chain.flags.writeable = False
+    _last_chain = (y, chain)
+    return chain
 
 
 def _ncx2_sums(n: int, xs, A: float, lo, hi):
     """The Poisson sums of radial_pair_ncx2 over the windows [lo, hi] (a
     block of rows shares its widest window), and whether some window's edge
     term was not negligible."""
-    width = int(np.max(hi - lo)) + 1
+    width = int((hi - lo).max()) + 1
     k_first = int(lo.min())
-    k = np.arange(k_first, int(lo.max()) + width + 1, dtype=float)
-    # everything that depends on k only: Gbar at a = m/2 (one longer, for
-    # the m/2 + 1 of the second moment) and at a = (m + 1)/2
-    a = 0.5 * n + k
-    y = 0.5 * A * A
-    gq = special.gammaincc(a, y)
-    gh = special.gammaincc(a[:-1] + 0.5, y)
-    c = math.sqrt(2.0) * np.exp(_log_gamma_ratio_half(a[:-1]))
+    k_last = int(lo.max()) + width
+    # everything that depends on k only, for k = k_first..k_last: Gbar at
+    # a = m/2 (one longer, for the m/2 + 1 of the second moment) and at
+    # a + 1/2, read from one half-integer chain at y = A^2/2
+    a = 0.5 * n + np.arange(k_first, k_last + 1)
+    m_first, m_last = n + 2 * k_first, n + 2 * k_last
+    log_gq = _log_gbar_chain(0.5 * A * A, m_last)
+    gq = np.exp(log_gq[m_first:m_last + 1:2])
+    gh = np.exp(log_gq[m_first + 1:m_last:2])
+    log_fact, c = _k_tables(n, 1 << k_last.bit_length())
+    log_fact = log_fact[k_first:k_last]
+    c = c[k_first:k_last]
     h = 0.5 * (2.0 * a[:-1] * gq[1:] - 2.0 * A * c * gh + A * A * gq[:-1])
-    log_fact = special.gammaln(k[:-1] + 1.0)
     with np.errstate(divide="ignore"):
         # log w_k = k log(mu) - mu - log k!; the per-k part joins each table
-        tables = (np.log(gq[:-1]) - log_fact,
+        tables = (log_gq[m_first:m_last:2] - log_fact,
                   np.log(np.maximum(h, 0.0)) - log_fact)
 
     Q = np.empty(xs.size)
@@ -299,23 +339,25 @@ def _ncx2_sums(n: int, xs, A: float, lo, hi):
     for i in range(0, xs.size, step):
         rows = slice(i, i + step)
         start = lo[rows]
-        offsets = np.arange(int(np.max(hi[rows] - start)) + 1)
+        offsets = np.arange(int((hi[rows] - start).max()) + 1)
         mu = 0.5 * np.square(xs[rows])
         # mu = 0 leaves only k = 0: a tiny floor keeps 0 * log(mu) finite
-        log_mu = np.log(np.maximum(mu, np.finfo(float).tiny))[:, None]
+        log_mu = np.log(np.maximum(mu, _TINY))[:, None]
         idx = offsets + (start - k_first)[:, None]
         k_log_mu = offsets + start[:, None].astype(float)
         k_log_mu *= log_mu
+        # the lower edge is exact at k = 0; the terms decay past both edges,
+        # so small edge terms bound what the window leaves out
+        open_below = start > 0
+        floor = _LOG_FLOOR + mu
         for out, table in zip((Q, G), tables):
             log_t = table[idx]
             log_t += k_log_mu
             peak = log_t.max(axis=1)
-            # the lower edge is exact at k = 0; the terms decay past both
-            # edges, so small edge terms bound what the window leaves out
-            edge = np.maximum(np.where(start > 0, log_t[:, 0], -np.inf),
+            edge = np.maximum(np.where(open_below, log_t[:, 0], -np.inf),
                               log_t[:, -1])
-            limit = np.maximum(peak + _EDGE_LOG, _LOG_FLOOR + mu)
-            clipped |= bool(np.any(edge > limit))
+            limit = np.maximum(peak + _EDGE_LOG, floor)
+            clipped |= bool((edge > limit).any())
             shift = np.where(np.isfinite(peak), peak, 0.0)
             log_t -= shift[:, None]
             np.exp(log_t, out=log_t)
@@ -327,8 +369,9 @@ def radial_pair_ncx2(n: int, xs, A: float):
     """(Q_n(x, A), g_n(x, A)) in closed form for an array of x, any n >= 1.
 
     R^2 = |x + Z|^2 is a Poisson(x^2/2) mixture over k of central
-    chi-square variables with m = n + 2k degrees of freedom.  With
-    Gbar = scipy.special.gammaincc, y = A^2/2 and weights w_k:
+    chi-square variables with m = n + 2k degrees of freedom.  With Gbar the
+    regularized upper incomplete gamma function (specfun.log_gamma_q_half),
+    y = A^2/2 and weights w_k:
 
         Q_n = sum_k w_k Gbar(m/2, y)
         g_n = sum_k w_k h_k,
@@ -341,10 +384,12 @@ def radial_pair_ncx2(n: int, xs, A: float):
     relative accuracy in the deep tail.  No term is dropped for its weight
     alone: each x sums the window of k where w_k Gbar peaks (see
     _poisson_window), widened until its edge terms are below e^-40 of the
-    largest.  The Gbar tables depend on k only and are computed once per
-    call.  Against 40-digit references both values are within 1.1e-13
-    absolute up to A = 40; the subtraction in h_k costs g_n its relative
-    accuracy in the deep tail (4e-8 where g_n ~ 1e-90 at A = 40, x = A/2).
+    largest.  The Gbar values come from one half-integer chain at y per
+    call (_log_gbar_chain), and the k-only tables (log k!, c_m) from a
+    per-n cache.  Against 40-digit references both values are within
+    1.4e-13 absolute up to A = 40; the subtraction in h_k costs g_n its
+    relative accuracy in the deep tail (2.3e-8 where g_n ~ 1e-125 at
+    A = 25, x = 0; 4e-9 where g_n ~ 1e-90 at A = 40, x = A/2).
     """
     xs = _grid_xs(n, xs, A)
     if xs.size == 0:

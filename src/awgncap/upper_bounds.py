@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
-from . import radial
+from . import radial, specfun
 from .radial import ChannelConfig, RadialFunctions
 from .specfun import LN2, LN_2PI, LN_2PIE, binary_entropy_nats, q_func
 
@@ -142,7 +141,7 @@ def _threshold_gap(n: int, A: float) -> float:
     if n == 1:
         s = math.sqrt(2.0 * math.pi * math.e)
         return 0.5 - float(q_func(2.0 * A)) - 2.0 * A / (s + 2.0 * A)
-    lhs = float(special.chndtr(A * A, n, A * A))
+    lhs = specfun.ncx2_cdf_at_noncentrality(n, 0.5 * A * A)
     v = radial.vol_ball(n, A)
     return lhs - v / ((2.0 * math.pi) ** (0.5 * n) * radial.k_n_closed(n, A) + v)
 

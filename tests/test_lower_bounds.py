@@ -309,6 +309,20 @@ class TestSeparableKernel:
         assert mi.err_bits <= 1e-12
 
 
+class TestNegPLogP:
+    def test_matches_scipy_entr(self):
+        # the lattice sum of -p log p: zeros and normal p give scipy's
+        # special.entr sum bit for bit; a subnormal p is off by < 1e-305
+        rng = np.random.default_rng(3)
+        p = np.exp(-rng.uniform(0.0, 700.0, 5000))
+        p[::7] = 0.0
+        assert lower_bounds._sum_neg_plogp(p) == float(special.entr(p).sum())
+        p[::11] = 5e-310
+        assert lower_bounds._sum_neg_plogp(p) == pytest.approx(
+            float(special.entr(p).sum()), rel=0.0, abs=1e-300)
+        assert lower_bounds._sum_neg_plogp(np.zeros(4)) == 0.0
+
+
 class TestQuadratureRule:
     """The refinement check of the node rule on the constellations the
     sweeps and the packing checks use."""

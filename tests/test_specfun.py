@@ -59,17 +59,34 @@ class TestQFunc:
         x = np.linspace(-6, 6, 200)
         assert np.all(np.diff(specfun.q_func(x)) < 0)
 
+    def test_matches_scipy_erfc(self):
+        # math.erfc is within about 1 ulp of erfc; scipy's (cephes) erfc is
+        # off by up to 260 ulp (5.7e-14) in the tail, out to its underflow
+        x = np.linspace(-38.0, 38.0, 20001)
+        ref = 0.5 * special.erfc(x / math.sqrt(2.0))
+        live = ref > 0.0
+        np.testing.assert_allclose(specfun.q_func(x)[live], ref[live],
+                                   rtol=1e-13, atol=0.0)
+        assert specfun.q_func(x[~live]).max() < 1e-300
+
+    def test_scalar_and_array_agree(self):
+        x = np.linspace(-10.0, 10.0, 41)
+        arr = specfun.q_func(x)
+        assert isinstance(specfun.q_func(1.5), float)
+        assert arr.shape == x.shape
+        assert [specfun.q_func(float(v)) for v in x] == arr.tolist()
+
 
 class TestBesselI0Scaled:
     def test_at_zero(self):
-        assert specfun.bessel_i0_scaled(0.0) == 1.0
+        assert oracles.bessel_i0_scaled(0.0) == 1.0
 
     def test_power_series_oracle(self):
         # e^{-1} sum_k (1/4)^k / (k!)^2
         acc = sum((0.25) ** k / math.factorial(k) ** 2 for k in range(30))
-        assert specfun.bessel_i0_scaled(1.0) == pytest.approx(
+        assert oracles.bessel_i0_scaled(1.0) == pytest.approx(
             math.exp(-1) * acc, rel=1e-14)
-        assert specfun.bessel_i0_scaled(1.0) == pytest.approx(
+        assert oracles.bessel_i0_scaled(1.0) == pytest.approx(
             0.4657596075936404365, rel=1e-14)
 
     def test_large_argument_asymptotic(self):
@@ -77,24 +94,24 @@ class TestBesselI0Scaled:
         x = 700.0
         lead = 1.0 / math.sqrt(2 * math.pi * x)
         asym = lead * (1 + 1 / (8 * x) + 9 / (128 * x * x))
-        val = specfun.bessel_i0_scaled(x)
+        val = oracles.bessel_i0_scaled(x)
         assert math.isfinite(val)
         assert val == pytest.approx(asym, rel=1e-7)
 
     def test_decreasing_in_x(self):
         x = np.linspace(0, 50, 200)
-        assert np.all(np.diff(specfun.bessel_i0_scaled(x)) < 0)
+        assert np.all(np.diff(oracles.bessel_i0_scaled(x)) < 0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            specfun.bessel_i0_scaled(-0.5)
+            oracles.bessel_i0_scaled(-0.5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_domain_error(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            specfun.bessel_i0_scaled(bad)
+            oracles.bessel_i0_scaled(bad)
         with pytest.raises(ValueError, match="finite"):
-            specfun.bessel_i0_scaled(np.array([0.5, bad]))
+            oracles.bessel_i0_scaled(np.array([0.5, bad]))
 
 
 class TestMarcumQ1:
@@ -322,3 +339,82 @@ class TestFactorials:
             specfun.gamma_half(0.3)
         with pytest.raises(ValueError):
             specfun.gamma_half(-0.5)
+
+
+# y from 1e-6 to 1500 (A up to 55) and every shape n/2 + k, n in 1..64, up
+# to 12 standard deviations past y
+_CHAIN_YS = np.geomspace(1e-6, 1500.0, 49)
+
+
+def _chain_shapes(y):
+    return 64 + 2 * math.ceil(y + 12.0 * math.sqrt(y) + 20.0)
+
+
+class TestHalfIntegerGammaChain:
+    """The chain's regularized incomplete gamma functions at half-integer
+    shapes.  Against mpmath at 30 digits the chain stays within
+    8 eps max(1, |log value|): the relative error of a value that is itself
+    represented by its log (measured: 4.5).  scipy's gammaincc and gammainc
+    are less accurate (1.1e-12 and 4.6e-12 at y = 1500 against mpmath), so
+    the dense comparisons with them allow 2e-12 relative."""
+
+    @pytest.mark.parametrize("y", [1e-6, 0.3, 12.5, 99.0, 101.0, 800.0,
+                                   1500.0])
+    def test_against_mpmath(self, y):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        m_max = _chain_shapes(y)
+        log_q = specfun.log_gamma_q_half(y, m_max)
+        log_p = specfun.log_gamma_p_half(y, m_max)
+        eps = np.finfo(float).eps
+        for m in np.unique(np.linspace(1, m_max, 23).astype(int)):
+            s = mpmath.mpf(int(m)) / 2
+            for got, ref in ((log_q[m], mpmath.gammainc(s, y, mpmath.inf,
+                                                         regularized=True)),
+                             (log_p[m], mpmath.gammainc(s, 0, y,
+                                                        regularized=True))):
+                log_ref = float(mpmath.log(ref))
+                err = float(abs(mpmath.exp(got) / ref - 1))
+                assert err <= 8 * eps * max(1.0, abs(log_ref)), (y, m, err)
+
+    def test_dense_against_scipy(self):
+        for y in _CHAIN_YS:
+            m_max = _chain_shapes(y)
+            s = np.arange(1, m_max + 1) / 2.0
+            for log_got, ref in (
+                    (specfun.log_gamma_q_half(y, m_max), special.gammaincc(s, y)),
+                    (specfun.log_gamma_p_half(y, m_max), special.gammainc(s, y))):
+                got = np.exp(log_got[1:])
+                live = ref > 1e-300
+                rel = np.abs(got[live] / ref[live] - 1.0)
+                assert rel.max() <= 2e-12, (y, rel.max())
+                # below 1e-300 both are tiny; the chain keeps its log
+                assert np.all(got[~live] <= 1.01e-300)
+
+    def test_zero_argument_is_exact(self):
+        q = specfun.log_gamma_q_half(0.0, 9)
+        p = specfun.log_gamma_p_half(0.0, 9)
+        assert np.all(q[1:] == 0.0) and np.all(p[1:] == -math.inf)
+
+    def test_first_links(self):
+        # Q(1/2, y) = erfc(sqrt(y)), Q(1, y) = e^-y, Q(3/2, y) = erfc(sqrt y)
+        # + 2 sqrt(y/pi) e^-y
+        for y in (1e-6, 0.5, 7.0, 90.0, 400.0):
+            log_q = specfun.log_gamma_q_half(y, 3)
+            ref = special.gammaincc([0.5, 1.0, 1.5], y)
+            np.testing.assert_allclose(np.exp(log_q[1:]), ref, rtol=1e-13)
+
+    def test_ncx2_cdf_matches_chndtr(self):
+        # 1 - Q_n(A, A) at y = A^2/2, the Poisson-weighted complement
+        for n in range(1, 65):
+            for y in _CHAIN_YS[::4]:
+                ref = special.chndtr(2.0 * y, n, 2.0 * y)
+                got = specfun.ncx2_cdf_at_noncentrality(n, y)
+                assert got == pytest.approx(ref, rel=2e-13, abs=1e-300)
+        assert specfun.ncx2_cdf_at_noncentrality(3, 0.0) == 0.0
+
+    def test_log_factorial(self):
+        k = np.arange(0, 3000)
+        np.testing.assert_allclose(specfun.log_factorial(k),
+                                   special.gammaln(k + 1.0), rtol=1e-15,
+                                   atol=1e-15)

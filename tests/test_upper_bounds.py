@@ -251,13 +251,6 @@ class TestBetaStar:
 
 
 class TestMinmax:
-    def test_conjectured_matches_verified(self):
-        for A in (0.5, 1.0, 2.0, 4.0, 8.0):
-            det = minmax_dual_detail(2, A)
-            assert det.verified_nats == pytest.approx(det.conjectured_nats,
-                                                      abs=1e-8)
-            assert not det.conjecture_violated
-
     def test_below_other_dual_bounds_on_sweep(self):
         # both the McKellips-type closed form (peak branch) and the refined
         # bound are max_x D_n at a particular beta, so min_beta max_x can
