@@ -52,9 +52,8 @@ BOUNDS: dict[str, Bound] = {
         "avg_power", lambda n, P: upper_bounds.avg_power(n, P))),
     "mckellips": Bound("upper", None, _rate(
         "mckellips", lambda n, P: upper_bounds.mckellips_nd(n, P))),
-    "refined": Bound("upper", None, lambda n, P: (
-        upper_bounds.refined_1d(P) if n == 1
-        else upper_bounds.refined_nd(n, P))),
+    "refined": Bound("upper", None,
+                     lambda n, P: upper_bounds.refined(n, P)),
     "minmax_conjectured": Bound("upper", None, lambda n, P: (
         upper_bounds.minmax_dual(n, math.sqrt(n * P), conjecture=True))),
     "minmax_verified": Bound("upper", None, lambda n, P: (
@@ -69,9 +68,11 @@ BOUNDS: dict[str, Bound] = {
 }
 
 
-def available_bounds(n: int) -> list[str]:
+def available_bounds(n: int, kind: str | None = None) -> list[str]:
+    """Ids evaluable at dimension n in table order, of one kind if given."""
     return [b for b, bound in BOUNDS.items()
-            if bound.dims is None or n in bound.dims]
+            if (bound.dims is None or n in bound.dims)
+            and kind in (None, bound.kind)]
 
 
 def _lookup(bound_id: str, n: int) -> Bound:
@@ -107,6 +108,8 @@ def _write_csv(fh, rows) -> None:
                     "true" if valid else "false", achiever])
 
 
+_NO_BOUNDS = "at least one bound id is required"
+
 # a longer grid is a mistyped --step, not a sweep anyone waits for
 MAX_GRID_POINTS = 10 ** 6
 
@@ -139,7 +142,7 @@ class SweepRequest:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if not self.bounds:
-            raise ValueError("at least one bound id is required")
+            raise ValueError(_NO_BOUNDS)
         for b in self.bounds:
             _lookup(b, self.n)
 
@@ -188,7 +191,10 @@ def _add_common_point_args(p):
 
 
 def _parse_bounds(spec: str) -> list[str]:
-    return [b.strip() for b in spec.split(",") if b.strip()]
+    bounds = [b.strip() for b in spec.split(",") if b.strip()]
+    if not bounds:
+        raise ValueError(_NO_BOUNDS)
+    return bounds
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -505,6 +505,10 @@ def _pam_grid(A: float):
     return sizes, starts, pts
 
 
+# the scan holds about 2A^2 points at once: 2e6 at 60 dB
+PAM_MAX_AMPLITUDE = 1000.0
+
+
 def pam_lower_bound_1d(P: float, return_detail: bool = False):
     """Best equiprobable PAM rate: max over M of I(X;Y), points on [-A, A].
 
@@ -517,9 +521,16 @@ def pam_lower_bound_1d(P: float, return_detail: bool = False):
     capacity: the scan runs from the largest M down and stops, exactly, once
     log2 M is below the best rate found.  Ties go to the smallest M; with
     return_detail the result is (rate, M), and (0.0, 1) when no M gives a
-    positive rate.
+    positive rate.  Above A = PAM_MAX_AMPLITUDE (60 dB) it raises
+    ValueError before allocating anything.
     """
-    A = ChannelConfig.from_snr(1, P).A
+    cfg = ChannelConfig.from_snr(1, P)
+    A = cfg.A
+    if A > PAM_MAX_AMPLITUDE:
+        raise ValueError(
+            f"pam_lower is evaluated up to A = {PAM_MAX_AMPLITUDE:g} (60 dB), "
+            f"got A = {A:.6g} ({cfg.snr_db:.6g} dB): its scan would hold "
+            f"about 2A^2 points")
     sizes, starts, pts = _pam_grid(A)
     # the one difference that spans two sizes is -2A, below every gap
     gaps = np.maximum.reduceat(np.diff(pts), starts)

@@ -33,8 +33,8 @@ from .specfun import LN2, LN_2PI, LN_2PIE, binary_entropy_nats, q_func
 
 __all__ = [
     "ChannelConfig", "BoundPoint", "MinmaxDetail", "avg_power", "refined_1d",
-    "d_n", "mckellips_nd", "refined_nd", "beta_star", "amplitude_threshold",
-    "minmax_dual", "minmax_dual_detail", "envelope",
+    "d_n", "mckellips_nd", "refined_nd", "refined", "beta_star",
+    "amplitude_threshold", "minmax_dual", "minmax_dual_detail", "envelope",
 ]
 
 
@@ -206,6 +206,11 @@ def refined_nd(n: int, P: float) -> BoundPoint:
             + binary_entropy_nats(beta) - g_tilde)
     return BoundPoint(snr_db=10.0 * math.log10(P), rate_bits=nats / LN2,
                       bound_id="refined", valid=A < amplitude_threshold(n))
+
+
+def refined(n: int, P: float) -> BoundPoint:
+    """refined_1d, the paper's scalar bound, at n = 1; refined_nd above."""
+    return refined_1d(P) if n == 1 else refined_nd(n, P)
 
 
 def _at(n: int, A: float) -> str:
@@ -392,7 +397,7 @@ def envelope(n: int, P: float, conjecture: bool = True) -> BoundPoint:
     """
     A = ChannelConfig.from_snr(n, P).A
     cands = [(avg_power(n, P), "avg_power"), (mckellips_nd(n, P), "mckellips")]
-    pt = refined_1d(P) if n == 1 else refined_nd(n, P)
+    pt = refined(n, P)
     if pt.valid:
         cands.append((pt.rate_bits, "refined"))
     mm = minmax_dual(n, A, conjecture)

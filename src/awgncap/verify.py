@@ -8,9 +8,12 @@ sandwich) are checks like the rest.  run_suite runs the checks of one suite,
 the part of the name before the "/", or all of them; the CLI prints one line
 per record and exits nonzero if any fails.  One check runs alone as
 CHECKS[name](seed); a check that draws random numbers builds its own
-generator from the seed.  Checks call through module attributes (e.g.
-oracles.g_tilde_n, radial.radial_pair_grid) so a fault-injection test can
-patch one function and run the one check that reads it.
+generator from the seed.  A check evaluates a bound id only through
+cli.compute_bound, the evaluator whose rows the CLI prints, so the paper's
+claims are checked on the printed envelope.  Checks call through module
+attributes (e.g. oracles.g_tilde_n, radial.radial_pair_grid) so a
+fault-injection test can patch one function and run the one check that
+reads it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from . import lower_bounds, oracles, radial, specfun, upper_bounds
+from . import cli, lower_bounds, oracles, radial, specfun, upper_bounds
 
 SUITES = ("specfun", "radial", "upper", "lower", "all")
 
@@ -66,6 +69,11 @@ def _check(name: str, tol: float, larger_ok: bool = False):
         CHECKS[name] = run
         return run
     return register
+
+
+def _bits(bound_id: str, n: int, P: float) -> float:
+    """The rate of one bound id at (n, P), as the CLI evaluates it."""
+    return cli.compute_bound(bound_id, n, P).rate_bits
 
 
 def _paper_figure(name: str, tol: float, paper: float, value) -> None:
@@ -264,7 +272,7 @@ def _envelope_nondecreasing(seed):
         prev = -math.inf
         for snr_db in np.linspace(-8.0, 24.0, 17):
             P = 10.0 ** (snr_db / 10.0)
-            v = upper_bounds.envelope(n, P).rate_bits
+            v = _bits("envelope", n, P)
             worst = min(worst, v - prev) if prev > -math.inf else worst
             prev = v
     return worst, "bits, smallest increment over 2 dB steps in [-8, 24] dB, n in {1, 2, 4}"
@@ -309,16 +317,15 @@ _paper_figure("upper/threshold_4d_snr_db", 0.05, 7.92,
 # 10 log10(pi e/2) ~ 6.30 dB power loss against average power
 _paper_figure("upper/mckellips_1d_high_snr_offset", 0.01,
               0.5 * math.log2(2.0 / (math.pi * math.e)),
-              lambda: oracles.mckellips_1d(1e6) - 0.5 * math.log2(1e6))
+              lambda: _bits("mckellips", 1, 1e6) - 0.5 * math.log2(1e6))
 _paper_figure("upper/mckellips_2d_high_snr_offset", 0.01, -math.log2(math.e),
-              lambda: upper_bounds.mckellips_nd(2, 1e6) - math.log2(1e6))
+              lambda: _bits("mckellips", 2, 1e6) - math.log2(1e6))
 
 
 @_check("upper/mckellips_2d_minus_volume_at_60db", 0.02)
 def _mckellips_2d_minus_volume(seed):
     P = 1e6
-    gap = (upper_bounds.mckellips_nd(2, P)
-           - lower_bounds.volume_lower_bound(2, P))
+    gap = _bits("mckellips", 2, P) - _bits("volume_lower", 2, P)
     return gap, "bits, McKellips-type - volume; must be >= 0", gap >= 0.0
 
 
@@ -406,15 +413,8 @@ def _sandwich_lower_below_envelope(seed):
     for n, snr_db in ((1, -5.0), (1, 5.0), (1, 15.0), (2, -5.0), (2, 3.0),
                       (2, 12.0), (4, 7.0)):
         P = 10.0 ** (snr_db / 10.0)
-        env = upper_bounds.envelope(n, P).rate_bits
-        lows = [lower_bounds.volume_lower_bound(n, P)]
-        if n == 1:
-            lows.append(lower_bounds.pam_lower_bound_1d(P))
-        if n == 2:
-            A = math.sqrt(2.0 * P)
-            lows.append(lower_bounds.constellation_mi(
-                lower_bounds.ring_constellation(A), refine_check=False).bits)
-        worst = max(worst, max(lows) - env)
+        low = max(_bits(b, n, P) for b in cli.available_bounds(n, "lower"))
+        worst = max(worst, low - _bits("envelope", n, P))
     return worst, "max lower - envelope over spot checks"
 
 
@@ -432,42 +432,28 @@ def _constellation_table_roundtrip(seed):
     return float(np.max(np.abs(rt.points - orig.points))), ""
 
 
-def _upper_set(n: int, P: float) -> dict:
-    """The upper bounds in bits at (n, P), by id; refined only where valid."""
-    A = math.sqrt(n * P)
-    bounds = {
-        "avg_power": 0.5 * n * math.log2(1.0 + P),
-        "mckellips": (oracles.mckellips_1d(P) if n == 1
-                      else upper_bounds.mckellips_nd(n, P)),
-        "minmax_conjectured": upper_bounds.minmax_dual(n, A, True).rate_bits,
-    }
-    ref = (upper_bounds.refined_1d(P) if n == 1
-           else upper_bounds.refined_nd(n, P))
-    if ref.valid:
-        bounds["refined"] = ref.rate_bits
-    return bounds
-
-
 def _gap_sweep(n: int, lo_db: float, hi_db: float, step_db: float) -> list:
-    """Rows (snr_db, upper bounds by id, best lower, volume lower bound).
+    """Rows (snr_db, every upper id's BoundPoint by id, best lower bound,
+    volume lower bound), each evaluated by cli.compute_bound.
 
     The best lower bound is equiprobable PAM at n = 1 and the ring
     constellation's MI at n = 2.
     """
+    uppers = cli.available_bounds(n, "upper")
+    best = {1: "pam_lower", 2: "ring_lower"}[n]
     rows = []
     for snr_db in np.arange(lo_db, hi_db + 1e-9, step_db):
         P = 10.0 ** (snr_db / 10.0)
-        best = (lower_bounds.pam_lower_bound_1d(P) if n == 1 else
-                lower_bounds.constellation_mi(lower_bounds.ring_constellation(
-                    math.sqrt(2.0 * P)), refine_check=False).bits)
-        rows.append((float(snr_db), _upper_set(n, P), best,
-                     lower_bounds.volume_lower_bound(n, P)))
+        rows.append((float(snr_db),
+                     {b: cli.compute_bound(b, n, P) for b in uppers},
+                     _bits(best, n, P), _bits("volume_lower", n, P)))
     return rows
 
 
 def _gaps(rows) -> list[tuple[float, float]]:
     """(envelope - best lower bound, snr_db) for each row of a gap sweep."""
-    return [(min(up.values()) - best, snr_db) for snr_db, up, best, _ in rows]
+    return [(up["envelope"].rate_bits - best, snr_db)
+            for snr_db, up, best, _ in rows]
 
 
 @_check("lower/scalar_gap_envelope_vs_pam", 0.15)
@@ -511,11 +497,11 @@ _paper_figure("lower/ring_packing_rho_scaling", 0.01, -0.65,
 
 @_check("lower/sandwich_on_criterion_sweeps", 0.0)
 def _sandwich_on_criterion_sweeps(seed):
-    excess = [low - up
+    excess = [low - up.rate_bits
               for n, lo, hi, step in ((1, -10.0, 30.0, 0.5),
                                       (2, -10.0, 4.5, 0.25))
               for _, uppers, best, volume in _gap_sweep(n, lo, hi, step)
-              for low in (best, volume) for up in uppers.values()]
+              for low in (best, volume) for up in uppers.values() if up.valid]
     return max(excess), (
         f"bits, max lower - valid upper over the criterion 1 and 2 sweeps: "
         f"{sum(e > 0.0 for e in excess)} violations of {len(excess)} pairs")

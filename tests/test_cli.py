@@ -184,6 +184,7 @@ class TestInvalidInput:
         ("point --dim 2 --snr-db inf --bounds envelope", "snr"),
         ("point --dim 2 --snr-db nan --bounds avg_power", "snr"),
         ("point --dim 2 --snr-db 4000 --bounds avg_power", "snr"),
+        ("point --dim 1 --snr-db 10 --bounds ,", "bound id"),
         ("sweep --dim 0", "dimension"),
         ("sweep --dim -1", "dimension"),
         ("sweep --dim 2 --jobs 0", "jobs"),
@@ -230,6 +231,12 @@ class TestInvalidInput:
          "threshold bracket failed for n=64"),
         ("sweep --dim 5 --snr-db-min -20 --snr-db-max -19 --step 1 "
          "--bounds envelope", "math range error"),
+        # the PAM scan's limit, raised before it allocates 2A^2 points
+        ("point --dim 1 --snr-db 300 --bounds pam_lower",
+         "pam_lower is evaluated up to A = 1000 (60 dB), got A = 1e+15 "
+         "(300 dB)"),
+        ("sweep --dim 1 --snr-db-min 299 --snr-db-max 300 --step 1 "
+         "--bounds pam_lower", "up to A = 1000 (60 dB)"),
     ])
     def test_numerical_failure_exits_two(self, argv, message, tmp_path,
                                          capsys):
@@ -421,6 +428,18 @@ def _moved(field, by, where=lambda *args: True):
     return plant
 
 
+def _largest_candidate(real):
+    """An envelope that reports its largest valid candidate, not its least."""
+    def fake(n, P, conjecture=True):
+        pts = [compute_bound(b, n, P) for b in
+               ("avg_power", "mckellips", "refined", "minmax_conjectured")]
+        top = max((p for p in pts if p.valid), key=lambda p: p.rate_bits)
+        return dataclasses.replace(real(n, P, conjecture),
+                                   rate_bits=top.rate_bits,
+                                   achiever=top.bound_id)
+    return fake
+
+
 # name -> (module, attribute, fault from the real function, checks it fails)
 PLANTED_FAULTS = {
     "q_dips_once": (radial, "radial_pair_grid", lambda real: _dip_once,
@@ -431,6 +450,9 @@ PLANTED_FAULTS = {
     "envelope_dips_at_8db": (upper_bounds, "envelope",
                              _moved("rate_bits", -1.0, lambda n, P: 6 < P < 7),
                              ["upper/envelope_nondecreasing_in_snr"]),
+    "envelope_takes_largest": (upper_bounds, "envelope", _largest_candidate,
+                               ["lower/scalar_gap_envelope_vs_pam",
+                                "lower/complex_gap_envelope_vs_ring"]),
     "mi_lifted_1e-9": (lower_bounds, "constellation_mi", _moved("bits", 1e-9),
                        ["lower/mi_lattice_vs_polar"]),
     "interior_excess_flagged": (upper_bounds, "minmax_dual_detail",
@@ -458,7 +480,7 @@ class TestSweepRequest:
             cli.SweepRequest(1, 0.0, 5.0, 0.0, ("avg_power",), "x.csv")
         with pytest.raises(ValueError, match="step"):
             cli.SweepRequest(1, -10.0, 30.0, 1e-12, ("avg_power",), "x.csv")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one bound id"):
             cli.SweepRequest(1, 0.0, 5.0, 1.0, (), "x.csv")
         with pytest.raises(ValueError):
             cli.SweepRequest(4, 0.0, 5.0, 1.0, ("ring_lower",), "x.csv")
@@ -499,3 +521,12 @@ class TestBoundRegistry:
             compute_bound("ring_lower", 1, 1.0)
         with pytest.raises(ValueError):
             compute_bound("no_such_bound", 1, 1.0)
+
+    def test_available_bounds_by_kind(self):
+        assert available_bounds(1, "lower") == ["volume_lower", "pam_lower"]
+        assert available_bounds(2, "lower") == ["volume_lower", "ring_lower"]
+        assert available_bounds(4, "upper") == [
+            "avg_power", "mckellips", "refined", "minmax_conjectured",
+            "minmax_verified", "envelope"]
+        assert available_bounds(3) == (available_bounds(3, "upper")
+                                       + available_bounds(3, "lower"))

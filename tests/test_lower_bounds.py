@@ -505,6 +505,28 @@ class TestPamLowerBound:
         assert pam <= env
         assert env - pam <= 0.1
 
+    @pytest.mark.parametrize("P", [1e6 * (1.0 + 1e-12), 1e7, 1e30, 1e300])
+    def test_above_60db_raises_before_allocating(self, P, monkeypatch):
+        # never run a real scan far above 60 dB: it holds about 2A^2 points
+        def no_grid(A):
+            raise AssertionError(f"the scan allocated at A = {A}")
+
+        monkeypatch.setattr(lower_bounds, "_pam_grid", no_grid)
+        with pytest.raises(ValueError, match=r"up to A = 1000 \(60 dB\)"):
+            pam_lower_bound_1d(P)
+        with pytest.raises(ValueError, match=r"up to A = 1000 \(60 dB\)"):
+            cli.compute_bound("pam_lower", 1, P)
+
+    def test_60db_itself_is_scanned(self, monkeypatch):
+        # A = 1000 exactly reaches the grid (stopped here, unallocated)
+        def stop(A):
+            raise LookupError(A)
+
+        monkeypatch.setattr(lower_bounds, "_pam_grid", stop)
+        with pytest.raises(LookupError) as info:
+            pam_lower_bound_1d(1e6)
+        assert info.value.args == (lower_bounds.PAM_MAX_AMPLITUDE,)
+
     def test_optimal_m_grows_with_snr(self):
         _, m_low = pam_lower_bound_1d(1.0, return_detail=True)
         _, m_high = pam_lower_bound_1d(100.0, return_detail=True)

@@ -8,9 +8,10 @@ from scipy import integrate, optimize, special
 
 from awgncap import cli, lower_bounds, oracles, radial, upper_bounds
 from awgncap.oracles import d1, mckellips_1d
-from awgncap.upper_bounds import (ChannelConfig, amplitude_threshold,
-                                  beta_star, d_n, envelope, mckellips_nd,
-                                  minmax_dual, minmax_dual_detail, refined_1d,
+from awgncap.upper_bounds import (BoundPoint, ChannelConfig,
+                                  amplitude_threshold, beta_star, d_n,
+                                  envelope, mckellips_nd, minmax_dual,
+                                  minmax_dual_detail, refined, refined_1d,
                                   refined_nd)
 from awgncap.oracles import divergence_direct_1d
 
@@ -378,6 +379,14 @@ class TestMinmax:
         assert pt.bound_id == "minmax_verified"
 
 
+class TestRefinedDispatch:
+    def test_scalar_bound_at_n1_general_form_above(self):
+        for P in (0.5, 2.0, 10.0):
+            assert refined(1, P) == refined_1d(P)
+            assert refined(2, P) == refined_nd(2, P)
+            assert refined(3, P) == refined_nd(3, P)
+
+
 class TestEnvelope:
     def test_achiever_low_snr(self):
         assert envelope(2, 10.0 ** -0.5).achiever == "avg_power"
@@ -399,6 +408,29 @@ class TestEnvelope:
         for n, P in ((1, 0.5), (2, 2.0), (4, 5.0)):
             env = envelope(n, P).rate_bits
             assert lower_bounds.volume_lower_bound(n, P) <= env
+
+    @pytest.mark.parametrize("rates, refined_valid, achiever", [
+        ((1.0, 1.0, 1.0, 1.0), True, "avg_power"),
+        ((2.0, 1.0, 1.0, 1.0), True, "mckellips"),
+        ((2.0, 2.0, 1.0, 1.0), True, "refined"),
+        ((2.0, 2.0, 1.0, 1.0), False, "minmax_conjectured"),
+        ((2.0, 2.0, 0.5, 1.0), False, "minmax_conjectured"),
+    ])
+    def test_ties_go_to_the_first_candidate(self, monkeypatch, rates,
+                                            refined_valid, achiever):
+        # of equal rates the first of avg_power, mckellips, refined and
+        # min-max wins; an invalid refined point is no candidate
+        avg, mck, ref, mm = rates
+        monkeypatch.setattr(upper_bounds, "avg_power", lambda n, P: avg)
+        monkeypatch.setattr(upper_bounds, "mckellips_nd", lambda n, P: mck)
+        monkeypatch.setattr(upper_bounds, "refined", lambda n, P: BoundPoint(
+            0.0, ref, "refined", refined_valid))
+        monkeypatch.setattr(upper_bounds, "minmax_dual",
+                            lambda n, A, conjecture=True: BoundPoint(
+                                0.0, mm, "minmax_conjectured"))
+        for n in (1, 2, 4):
+            env = envelope(n, 2.0)
+            assert (env.rate_bits, env.achiever) == (1.0, achiever)
 
     def test_verified_variant_keeps_minmax_candidate(self):
         P = 10.0 ** 1.5  # high SNR: minmax is the achiever
