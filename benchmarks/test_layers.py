@@ -9,7 +9,8 @@ Needs pytest-benchmark.  The tier-1 run collects only tests/, so these are
 never timed there.  At the repository root, BENCH_kernel.json holds medians
 of the kernel and radial benchmarks before and after the in-place angular
 kernel, BENCH_pam.json those of the PAM scan and ring MI before and
-after the one-pass PAM scan, BENCH_gap.json those of the gap search and
+after the one-pass PAM scan (and, under "half_lattice", those of the PAM
+scan before and after its half-lattice runs), BENCH_gap.json those of the gap search and
 ring MI before and after the Gabriel gap replaced the Delaunay one, and
 BENCH_scipyfree.json those of the closed-form radial grid and the threshold
 before and after the half-integer gamma chain replaced scipy.special.
@@ -108,9 +109,10 @@ def test_amplitude_threshold(benchmark, n):
     assert 2.0 < benchmark(fresh) < 7.0
 
 
-@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0])
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0])
 def test_pam_lower_bound_1d(benchmark, snr_db):
-    # the criterion-1 PAM scan, one per point of the scalar sweep
+    # the criterion-1 PAM scan, one per point of the scalar sweep; 40 dB
+    # (206 sizes, most sharing one lattice step) is beyond the sweep
     P = 10.0 ** (snr_db / 10.0)
     rate, m = benchmark(lower_bounds.pam_lower_bound_1d, P, True)
     assert 0.0 < rate <= 0.5 * np.log2(1.0 + P) and m >= 2

@@ -11,7 +11,6 @@ input order.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import math
 import os
@@ -157,9 +156,11 @@ def sweep(req: SweepRequest) -> None:
     tasks = [(req.n, s, 10.0 ** (s / 10.0), list(req.bounds),
               req.per_dimension) for s in req.grid()]
     # the pool starts all its workers at once: no more than tasks or cores.
-    # Its lookup loads multiprocessing, which no other command needs.
+    # It and its lookup load concurrent.futures (with logging) and
+    # multiprocessing, which no other command needs.
     workers = min(req.jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_point_rows, tasks))
     else:

@@ -1,5 +1,6 @@
 """CLI tests: CSV sweeps, point queries, verification driver, exit codes."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -75,7 +76,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+        # sweep imports the pool's module only when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             RecordingPool)
         args = ["sweep", "--dim", "1", "--snr-db-min", "0", "--snr-db-max",
                 "2", "--step", "1", "--bounds", "avg_power", "--jobs",
@@ -368,8 +370,8 @@ class TestModuleEntryPoint:
     def test_import_loads_no_quadrature(self):
         # the bounds need only numpy, a ring MI and a PAM scan included: no
         # part of scipy loads.  Quadrature, the independent references, the
-        # property suites and the process pool of sweep --jobs load when a
-        # command asks for them
+        # property suites and the process pool of sweep --jobs (with
+        # concurrent.futures and logging) load when a command asks for them
         out = self._run("-c", """if True:
             import sys, awgncap, awgncap.cli
             awgncap.constellation_mi(awgncap.ring_constellation(4.0))
@@ -378,7 +380,8 @@ class TestModuleEntryPoint:
                 for bound_id in awgncap.cli.available_bounds(n):
                     awgncap.cli.compute_bound(bound_id, n, 3.0)
             lazy = {'awgncap.oracles', 'awgncap.verify', 'multiprocessing',
-                    'concurrent.futures.process'}
+                    'concurrent.futures', 'concurrent.futures.process',
+                    'logging'}
             print(sorted(m for m in sys.modules if m in lazy
                          or m == 'scipy' or m.startswith('scipy.')))""")
         assert out.strip() == "[]"

@@ -527,6 +527,36 @@ class TestPamLowerBound:
             pam_lower_bound_1d(1e6)
         assert info.value.args == (lower_bounds.PAM_MAX_AMPLITUDE,)
 
+    @staticmethod
+    def _record_kernels(monkeypatch, fake=False):
+        shapes = []
+        kernel = lower_bounds._axis_kernel
+
+        def recording(axis, coords):
+            shapes.append((len(axis), len(coords)))
+            return np.zeros(shapes[-1]) if fake else kernel(axis, coords)
+
+        monkeypatch.setattr(lower_bounds, "_axis_kernel", recording)
+        return shapes
+
+    def test_kernel_blocks_stay_within_the_cap_at_40db(self, monkeypatch):
+        shapes = self._record_kernels(monkeypatch)
+        pam_lower_bound_1d(1e4)
+        assert len(shapes) > 1
+        assert all(r * c <= lower_bounds._PAM_BLOCK for r, c in shapes)
+
+    def test_largest_size_at_60db_is_split_over_its_nodes(self, monkeypatch):
+        # A = 1000: the largest size, 2,006 points on 3,368 half-lattice
+        # nodes, alone exceeds the cap.  The kernels are stubbed and the
+        # rate set above log2 of every size, so the scan stops after that
+        # size and no real 60 dB scan runs.
+        shapes = self._record_kernels(monkeypatch, fake=True)
+        monkeypatch.setattr(lower_bounds, "_mi_bits", lambda *a: 11.0)
+        assert pam_lower_bound_1d(1e6, return_detail=True) == (11.0, 2006)
+        assert {r for r, _ in shapes} == {2006}
+        assert sum(c for _, c in shapes) == math.floor(1010.0 / 0.3) + 1
+        assert all(r * c <= lower_bounds._PAM_BLOCK for r, c in shapes)
+
     def test_optimal_m_grows_with_snr(self):
         _, m_low = pam_lower_bound_1d(1.0, return_detail=True)
         _, m_high = pam_lower_bound_1d(100.0, return_detail=True)
@@ -534,10 +564,10 @@ class TestPamLowerBound:
 
 
 def _pam_scan_reference(P):
-    """The ascending scan pam_lower_bound_1d replaced: one constellation_mi
-    per M, where a strict > keeps the smallest M among equal rates.  Each
-    rate is also capped by the average-power capacity at P, as the scan's
-    clip caps it where the endpoints fl(sqrt(P)) exceed sqrt(P)."""
+    """The ascending scan on the full lattice: one constellation_mi per M,
+    where a strict > keeps the smallest M among equal rates.  Each rate is
+    also capped by the average-power capacity at P, as the scan's clip caps
+    it where the endpoints fl(sqrt(P)) exceed sqrt(P)."""
     A = math.sqrt(P)
     cap = upper_bounds.avg_power(1, P)
     best, best_m = 0.0, 1
@@ -549,17 +579,55 @@ def _pam_scan_reference(P):
     return best, best_m
 
 
+def _pam_scan_per_size(P):
+    """The ascending scan on the half lattice: every size alone through the
+    scan's own kernel, a strict > keeping the smallest M among equal rates."""
+    A = math.sqrt(P)
+    sizes, starts, pts = lower_bounds._pam_grid(A)
+    gaps = np.maximum.reduceat(np.diff(pts), starts)
+    best, best_m = 0.0, 1
+    for i, m in enumerate(sizes.tolist()):
+        [mi] = lower_bounds._pam_rates(P, A, pts, sizes[i:i + 1],
+                                       starts[i:i + 1],
+                                       lower_bounds._step_for_gap(gaps[i]))
+        if mi > best:
+            best, best_m = mi, m
+    return best, best_m
+
+
+# -10..30 dB in 2.5 dB steps and three extremes, then the rest of -40..45 dB
 _PAM_PINNED_P = ([10.0 ** (0.25 * k) for k in range(-4, 13)]
                  + [1e-300, 1e-10, 1e4])
+_PAM_WIDE_P = [10.0 ** (0.25 * k) for k in range(-16, 19)
+               if not -4 <= k <= 12 and k != 16]
 
 
 class TestPamScanBits:
-    """The one-pass descending scan returns the ascending scan's bits."""
+    """The descending scan on the half lattice, in runs of one lattice step,
+    against the full-lattice scan (to 1e-13 bits, the same M) and against
+    its own kernel taken one size at a time (bit for bit)."""
+
+    @pytest.mark.parametrize("P", _PAM_PINNED_P + _PAM_WIDE_P)
+    def test_equals_ascending_constellation_mi_scan(self, P):
+        rate, m = pam_lower_bound_1d(P, return_detail=True)
+        ref_rate, ref_m = _pam_scan_reference(P)
+        assert m == ref_m
+        assert abs(rate - ref_rate) <= 1e-13
 
     @pytest.mark.parametrize("P", _PAM_PINNED_P)
-    def test_equals_ascending_constellation_mi_scan(self, P):
+    def test_equals_ascending_per_size_scan(self, P):
         assert pam_lower_bound_1d(P, return_detail=True) == \
-            _pam_scan_reference(P)
+            _pam_scan_per_size(P)
+
+    @pytest.mark.parametrize("P", [1e-300, 0.1, 10.0, 1000.0])
+    def test_block_size_moves_no_bit(self, P, monkeypatch):
+        # one entry per block splits every run into single sizes and every
+        # size into single nodes; 2^30 takes each run in one kernel
+        got = []
+        for block in (1, 2 ** 30):
+            monkeypatch.setattr(lower_bounds, "_PAM_BLOCK", block)
+            got.append(pam_lower_bound_1d(P, return_detail=True))
+        assert got[0] == got[1]
 
     @pytest.mark.parametrize("P", [5e-324, 1e-300, 1e-10, 0.1, 1.0, 10.0,
                                    1000.0, 1e4])
@@ -574,13 +642,13 @@ class TestPamScanBits:
     @pytest.mark.parametrize("P", [1e-10, 0.1, 1.0, 10.0, 100.0, 1000.0])
     def test_skipped_sizes_cannot_win(self, P, monkeypatch):
         evaluated = []
-        kernel = lower_bounds._entropy_lattice
+        rates = lower_bounds._pam_rates
 
-        def recording(points, w, step):
-            evaluated.append(points.shape[0])
-            return kernel(points, w, step)
+        def recording(P, A, pts, sizes, starts, step):
+            evaluated.extend(sizes.tolist()[::-1])
+            return rates(P, A, pts, sizes, starts, step)
 
-        monkeypatch.setattr(lower_bounds, "_entropy_lattice", recording)
+        monkeypatch.setattr(lower_bounds, "_pam_rates", recording)
         rate, _ = pam_lower_bound_1d(P, return_detail=True)
         m_max = int(math.ceil(2.0 + 2.0 * math.sqrt(P))) + 4
         assert evaluated == list(range(m_max, m_max - len(evaluated), -1))
