@@ -9,11 +9,12 @@ Needs pytest-benchmark.  The tier-1 run collects only tests/, so these are
 never timed there.  At the repository root, BENCH_kernel.json holds medians
 of the kernel and radial benchmarks before and after the in-place angular
 kernel, BENCH_pam.json those of the PAM scan and ring MI before and
-after the one-pass PAM scan (and, under "half_lattice", those of the PAM
-scan before and after its half-lattice runs), BENCH_gap.json those of the gap search and
-ring MI before and after the Gabriel gap replaced the Delaunay one, and
-BENCH_scipyfree.json those of the closed-form radial grid and the threshold
-before and after the half-integer gamma chain replaced scipy.special.
+after the one-pass PAM scan (under "half_lattice", those of the PAM scan
+before and after its half-lattice runs), BENCH_gap.json those of the gap
+search and ring MI before and after the Gabriel gap replaced the Delaunay
+one, and BENCH_scipyfree.json those of the closed-form radial grid and the
+threshold before and after the half-integer gamma chain replaced
+scipy.special.
 """
 
 from __future__ import annotations

@@ -407,8 +407,9 @@ def _axis_kernel(axis, coords):
 _TINY = np.finfo(float).tiny
 
 
-def _sum_neg_plogp(p) -> float:
-    """sum of -p log p over an array p >= 0, where p = 0 adds its limit 0.
+def _sum_neg_plogp(p, axis=None):
+    """sum of -p log p over an array p >= 0 (along `axis`, or over all of
+    it), where p = 0 adds its limit 0.
 
     log is taken of max(p, tiny): a subnormal p adds p log(tiny), within
     1e-305 of p log p, and a zero adds exactly 0.
@@ -416,7 +417,7 @@ def _sum_neg_plogp(p) -> float:
     plogp = np.maximum(p, _TINY)
     np.log(plogp, out=plogp)
     plogp *= p
-    return -float(plogp.sum())
+    return -plogp.sum(axis=axis)
 
 
 def _entropy_lattice(points, w, step):
@@ -446,7 +447,7 @@ def _entropy_lattice(points, w, step):
         e1 *= w / (2.0 * math.pi)
         sq = np.square(axis)
         p = (e1 @ _axis_kernel(axis, points[:, 1]).T)[sq[:, None] + sq <= R * R]
-    return _sum_neg_plogp(p) * step ** dim
+    return float(_sum_neg_plogp(p)) * step ** dim
 
 
 def _mi_bits(h: float, m: int, power: float, dim: int) -> float:
@@ -543,10 +544,9 @@ def _pam_rates(P, A, pts, sizes, starts, step):
         p[:, a:a + width] = np.add.reduceat(
             _axis_kernel(x, nodes[a:a + width]), seg, axis=0)
     p *= (1.0 / (sizes * math.sqrt(2.0 * math.pi)))[:, None]
-    plogp = np.maximum(p, _TINY)
-    np.log(plogp, out=plogp)
-    plogp *= p
-    h = -(2.0 * plogp[:, 1:].sum(axis=1) + plogp[:, 0]) * step
+    # each size's sum runs along its own row, whatever the other rows are
+    h = (2.0 * _sum_neg_plogp(p[:, 1:], axis=1)
+         + _sum_neg_plogp(p[:, :1], axis=1)) * step
     # E X^2 of each set, capped at P: the endpoints fl(sqrt(P)) may exceed
     # sqrt(P) by half an ulp, and no lower bound on C(P) may exceed the
     # capacity at average power P
