@@ -8,13 +8,14 @@ closed-form radial grid, the refined bound's threshold, the PAM scan, the
 Needs pytest-benchmark.  The tier-1 run collects only tests/, so these are
 never timed there.  At the repository root, BENCH_kernel.json holds medians
 of the kernel and radial benchmarks before and after the in-place angular
-kernel, BENCH_pam.json those of the PAM scan and ring MI before and
-after the one-pass PAM scan (under "half_lattice", those of the PAM scan
-before and after its half-lattice runs), BENCH_gap.json those of the gap
-search and ring MI before and after the Gabriel gap replaced the Delaunay
-one, and BENCH_scipyfree.json those of the closed-form radial grid and the
-threshold before and after the half-integer gamma chain replaced
-scipy.special.
+kernel, BENCH_panel.json those of the kernel and the two endpoint pairs
+before and after the blocked angular quadrature, BENCH_pam.json those of
+the PAM scan and ring MI before and after the one-pass PAM scan (under
+"half_lattice", those of the PAM scan before and after its half-lattice
+runs), BENCH_gap.json those of the gap search and ring MI before and after
+the Gabriel gap replaced the Delaunay one, and BENCH_scipyfree.json those
+of the closed-form radial grid and the threshold before and after the
+half-integer gamma chain replaced scipy.special.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ def test_radial_pair_grid_endpoint(benchmark, n, snr_db):
     A = radial.ChannelConfig.from_snr_db(n, snr_db).A
     Q, G = benchmark(radial.radial_pair_grid, n, [A], A)
     assert 0.0 < Q[0] < 1.0 and G[0] > 0.0
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 15.0, 25.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_radial_pair_grid_origin(benchmark, n, snr_db):
+    # Q_n(0, A) and g_n(0, A), the other endpoint pair of beta* and the
+    # conjectured min-max bound: every kernel argument is 0, and above
+    # A = 14 no panel node is live
+    A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+    Q, G = benchmark(radial.radial_pair_grid, n, [0.0], A)
+    assert 0.0 <= Q[0] < 1.0 and G[0] >= 0.0
 
 
 # the band centres of the verified min-max query stream

@@ -90,6 +90,12 @@ class Constellation:
         return cls(points=pts, probs=np.full(m, 1.0 / m))
 
 
+# the ring of 40 dB at n = 2 (A^2 = 2e4) holds 15,261 points, and its MI
+# took about 19 s and 410 MB (one thread of a 2-core machine); at 45 dB
+# the MI's lattice factors alone would need 1.3 to 3.3 GB
+RING_MAX_AMPLITUDE = math.sqrt(2.0e4)
+
+
 def ring_constellation(A: float) -> Constellation:
     """Equiprobable concentric-ring constellation with peak amplitude A.
 
@@ -99,9 +105,17 @@ def ring_constellation(A: float) -> Constellation:
     one point per 2-sigma arc, none twice when 3 rho_k is an integer.  The
     origin is included once A >= 2; closer in it would sit inside the
     packing distance of the outer ring and measurably weakens the
-    constellation at low SNR.
+    constellation at low SNR.  Above A = RING_MAX_AMPLITUDE (40 dB at
+    n = 2) it raises ValueError before it places a point: the ring has
+    about (3/4) A^2 points, and its MI (ring_lower) would take minutes and
+    gigabytes.
     """
-    ChannelConfig(2, A)
+    cfg = ChannelConfig(2, A)
+    if A > RING_MAX_AMPLITUDE:
+        raise ValueError(
+            f"ring_lower's ring is built up to A = {RING_MAX_AMPLITUDE:.6g} "
+            f"(40 dB), got A = {A:.6g} ({cfg.snr_db:.6g} dB): it would "
+            f"hold about (3/4) A^2 points, too many for its MI")
     pts: list[tuple[float, float]] = []
     if A >= 2.0:
         pts.append((0.0, 0.0))

@@ -173,6 +173,15 @@ def radial_pair_grid(n: int, xs, A: float):
     QuadratureError when four doublings do not converge, or when a converged
     Q_n leaves [0, 1] by more than 1e-12.  The endpoint bounds read it
     through RadialFunctions.pair.
+
+    Each pass forms the integrand e^{expo} kernel z^{n-1} on the live (x, z)
+    entries alone, where |z - x| < 14, and the dead ones are exactly 0; the
+    angular kernel runs in cache-sized blocks (specfun._tilde_quad_scaled).
+    The sums stay full-row products base @ w, so BLAS adds in one order.
+    No bit of Q_n or g_n may move with such a change: where refined and
+    minmax_conjectured tie algebraically, their rounding picks the
+    envelope's achiever, which the benchmark checks exactly
+    (tests/test_radial.py pins the endpoint values).
     """
     xs = _grid_xs(n, xs, A)
     if xs.size == 0:
@@ -195,10 +204,13 @@ def radial_pair_grid(n: int, xs, A: float):
         # skipping the kernel there changes the integrals by < 1e-30
         expo = -0.5 * np.square(z[None, :] - xs[:, None])
         live = expo > -98.0
-        base = np.zeros_like(expo)
-        kernel = specfun.tilde_i_n_scaled(n, (z[None, :] * xs[:, None])[live])
-        base[live] = np.exp(expo[live]) * kernel
-        base *= z[None, :] ** (n - 1.0)
+        # e^{expo} kernel z^{n-1}, multiplied in that order, on the live
+        # entries alone; the dead ones stay exactly 0
+        part = np.exp(expo[live])
+        part *= specfun.tilde_i_n_scaled(n, (z[None, :] * xs[:, None])[live])
+        part *= z[None, :].repeat(xs.size, axis=0)[live] ** (n - 1.0)
+        base = np.zeros(expo.shape)
+        base[live] = part
         Q = base @ w
         G = base @ (0.5 * np.square(z - A) * w)
         if prev is not None:

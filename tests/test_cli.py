@@ -161,6 +161,15 @@ class TestPoint:
         mi = constellation_mi(ring_constellation(A), refine_check=False)
         assert rate == format(mi.bits, ".12g")
 
+    def test_ring_lower_below_its_limit_evaluates(self, capsys):
+        # 20 dB is far inside the ring's 40 dB limit
+        assert main(["point", "--dim", "2", "--snr-db", "20",
+                     "--bounds", "ring_lower"]) == 0
+        rate = capsys.readouterr().out.splitlines()[1].split(",")[2]
+        mi = constellation_mi(ring_constellation(math.sqrt(200.0)),
+                              refine_check=False)
+        assert rate == format(mi.bits, ".12g")
+
     def test_missing_snr_is_usage_error(self):
         assert main(["point", "--dim", "2", "--bounds", "envelope"]) == 2
 
@@ -239,6 +248,10 @@ class TestInvalidInput:
          "(300 dB)"),
         ("sweep --dim 1 --snr-db-min 299 --snr-db-max 300 --step 1 "
          "--bounds pam_lower", "up to A = 1000 (60 dB)"),
+        # the ring's limit, raised before it places a point
+        ("point --dim 2 --snr-db 45 --bounds ring_lower",
+         "ring_lower's ring is built up to A = 141.421 (40 dB), got "
+         "A = 251.487 (45 dB)"),
     ])
     def test_numerical_failure_exits_two(self, argv, message, tmp_path,
                                          capsys):

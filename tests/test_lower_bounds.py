@@ -89,6 +89,25 @@ class TestRingConstellation:
         c = ring_constellation(3.7)
         np.testing.assert_allclose(c.probs, 1.0 / c.size)
 
+    @pytest.mark.parametrize("snr_db", [40.0 + 1e-9, 45.0, 300.0])
+    def test_above_40db_raises_before_building(self, snr_db, monkeypatch):
+        # never build (or take the MI of) a ring far above 40 dB
+        def no_ring(points):
+            raise AssertionError("the ring was built")
+
+        monkeypatch.setattr(Constellation, "equiprobable", no_ring)
+        P = 10.0 ** (snr_db / 10.0)
+        with pytest.raises(ValueError, match=r"up to A = 141\.421 \(40 dB\)"):
+            ring_constellation(math.sqrt(2.0 * P))
+        with pytest.raises(ValueError, match=r"up to A = 141\.421 \(40 dB\)"):
+            cli.compute_bound("ring_lower", 2, P)
+
+    def test_40db_itself_is_built(self):
+        # A = sqrt(2e4) exactly, as compute_bound forms it at P = 1e4
+        A = math.sqrt(2 * 10.0 ** (40.0 / 10.0))
+        assert A == lower_bounds.RING_MAX_AMPLITUDE
+        assert ring_constellation(A).size == 15261
+
 
 class TestRingPacking:
     def test_n3_layout(self):

@@ -135,6 +135,70 @@ class TestGridEvaluator:
                 pair(2, [0.0, 1.5], 1.0)
 
 
+# float.hex() of radial_pair_grid(n, [x], A) = (Q_n, g_n) at x = 0 and
+# x = A, A from (n, SNR in dB).  The endpoint bounds read these values, and
+# where refined and minmax_conjectured tie algebraically their rounding
+# picks the envelope's achiever, so a speedup of the panel rule or the
+# angular kernel must leave every bit in place.
+PANEL_RULE_BITS = [
+    (2, -10.0, "0", "0x1.cf46d99d52b3ap-1", "0x1.13634c4c59560p-1"),
+    (2, -10.0, "A", "0x1.d3b23eb312307p-1", "0x1.387e5f322a031p-1"),
+    (2, 0.0, "0", "0x1.78b56362cef36p-2", "0x1.6cd8b51fac1b9p-4"),
+    (2, 0.0, "A", "0x1.4efa66c3e96e2p-1", "0x1.80c2805806d28p-2"),
+    (2, 5.0, "0", "0x1.5ac2cebe4cbbap-5", "0x1.3a608fe5fdc4cp-8"),
+    (2, 5.0, "A", "0x1.298022da943f4p-1", "0x1.4a773d8e1d07ap-2"),
+    (2, 15.0, "0", "0x1.4cad3c3be5030p-46", "0x1.41d0fd6bf6c30p-52"),
+    (2, 15.0, "A", "0x1.0cde20566f417p-1", "0x1.18cdfbfbb8280p-2"),
+    (2, 25.0, "0", "0x0.0p+0", "0x0.0p+0"),
+    (2, 25.0, "A", "0x1.040fd398b1718p-1", "0x1.080682f9f6664p-2"),
+    (2, 30.0, "0", "0x0.0p+0", "0x0.0p+0"),
+    (2, 30.0, "A", "0x1.0248a888f0686p-1", "0x1.048943cfec882p-2"),
+    (3, -10.0, "0", "0x1.eb88da5c4b11ap-1", "0x1.8cf8713c19d51p-1"),
+    (3, -10.0, "A", "0x1.ee3a9cede0015p-1", "0x1.c3c46eb48ec81p-1"),
+    (3, 0.0, "0", "0x1.910630b17f8d5p-2", "0x1.87a1ba5c4956cp-4"),
+    (3, 0.0, "A", "0x1.75c5c5a662f3cp-1", "0x1.ebd5878fcb967p-2"),
+    (3, 5.0, "0", "0x1.809011b129972p-6", "0x1.22f0921d738d4p-9"),
+    (3, 5.0, "A", "0x1.4250f022f8d9bp-1", "0x1.84a1e04c55664p-2"),
+    (3, 15.0, "0", "0x1.743f618919ddcp-66", "0x1.f0ea34527af0bp-73"),
+    (3, 15.0, "A", "0x1.14f89446b6a0cp-1", "0x1.29f1288d6d41ap-2"),
+    (3, 25.0, "0", "0x0.0p+0", "0x0.0p+0"),
+    (3, 25.0, "A", "0x1.06a1b19d6ccfbp-1", "0x1.0d43633ad99ffp-2"),
+    (3, 30.0, "0", "0x0.0p+0", "0x0.0p+0"),
+    (3, 30.0, "A", "0x1.03baaef261ec9p-1", "0x1.07755de4c3d98p-2"),
+    (4, -10.0, "0", "0x1.f7073674e0e6bp-1", "0x1.02c0bb028286cp+0"),
+    (4, -10.0, "A", "0x1.f88ec72a013b2p-1", "0x1.26fe07f254452p+0"),
+    (4, 0.0, "0", "0x1.9fbfff59f42b1p-2", "0x1.97edfc24a7c5ep-4"),
+    (4, 0.0, "A", "0x1.90834ed5750b0p-1", "0x1.27bdd67d7d6f4p-1"),
+    (4, 5.0, "0", "0x1.ae0af7a10771ep-7", "0x1.18cfe334bdaa7p-10"),
+    (4, 5.0, "A", "0x1.54b2625db4095p-1", "0x1.b7eed22d63004p-2"),
+    (4, 15.0, "0", "0x1.b1fa6aac008b8p-86", "0x1.ba56b9cfe4e2ep-93"),
+    (4, 15.0, "A", "0x1.1b327a8a4cf6ap-1", "0x1.37e1c4cce1179p-2"),
+    (4, 25.0, "0", "0x0.0p+0", "0x0.0p+0"),
+    (4, 25.0, "A", "0x1.089d0171f05ccp-1", "0x1.116097fe683a4p-2"),
+    (4, 30.0, "0", "0x0.0p+0", "0x0.0p+0"),
+    (4, 30.0, "A", "0x1.04d81b02198ecp-1", "0x1.09bc72e732cbep-2"),
+    (5, -10.0, "0", "0x1.fbf7959411636p-1", "0x1.3ed21afd74afep+0"),
+    (5, -10.0, "A", "0x1.fccdbb11759cbp-1", "0x1.6be735d101cc2p+0"),
+    (5, 0.0, "0", "0x1.a9dc7ee8ccdf3p-2", "0x1.a322fcf371366p-4"),
+    (5, 0.0, "A", "0x1.a46d7d1fd0862p-1", "0x1.57a001d474c98p-1"),
+    (5, 5.0, "0", "0x1.e535c11eb8192p-8", "0x1.17954fb51a56ap-11"),
+    (5, 5.0, "A", "0x1.637cdcd823f7bp-1", "0x1.e75b724d88635p-2"),
+    (5, 15.0, "0", "0x1.035933e303f36p-105", "0x1.aba053a5ca155p-113"),
+    (5, 15.0, "A", "0x1.2062aaa506304p-1", "0x1.44024e2692d2bp-2"),
+    (5, 25.0, "0", "0x0.0p+0", "0x0.0p+0"),
+    (5, 25.0, "A", "0x1.0a453967ec4c4p-1", "0x1.14dd587f7fa40p-2"),
+    (5, 30.0, "0", "0x0.0p+0", "0x0.0p+0"),
+    (5, 30.0, "A", "0x1.05c6d75bb3348p-1", "0x1.0ba7e59a51853p-2"),
+]
+
+
+@pytest.mark.parametrize("n, snr_db, at, q_hex, g_hex", PANEL_RULE_BITS)
+def test_panel_rule_bits_are_pinned(n, snr_db, at, q_hex, g_hex):
+    A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+    Q, G = radial.radial_pair_grid(n, [0.0 if at == "0" else A], A)
+    assert (float(Q[0]).hex(), float(G[0]).hex()) == (q_hex, g_hex)
+
+
 # (n, A, frac, Q_n(x, A), g_n(x, A)) at x = frac * A (the double), to 17
 # digits.  Generated with mpmath 1.3 at 40 digits by summing the Poisson
 # mixture of the noncentral chi-square outward from its largest term until

@@ -278,6 +278,9 @@ class TestAngularKernelBits:
         "series_only": np.linspace(0.0, 30.0, 241),
         "quadrature_only": np.geomspace(30.0 + 1e-9, 1e6, 200),
         "mixed": np.random.default_rng(11).uniform(0.0, 200.0, 500),
+        # the quadrature part runs over several blocks of
+        # _tilde_quad_scaled and ends in a partial one (test_block_edges)
+        "straddle_blocks": np.linspace(20.0, 200.0, 2001),
     }
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -286,6 +289,14 @@ class TestAngularKernelBits:
         xs = self.ARRAYS[name]
         assert np.array_equal(specfun.tilde_i_n_scaled(n, xs),
                               _reference_kernel(n, xs))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_block_edges(self, n):
+        quad = int((self.ARRAYS["straddle_blocks"]
+                    > specfun.SERIES_CUTOFF).sum())
+        # the block has half the rows once a sin(u) workspace joins, n > 2
+        rows = specfun._QUAD_BLOCK_ENTRIES // (80 * (1 if n == 2 else 2))
+        assert quad > 2 * rows and quad % rows
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_scalars(self, n):
