@@ -91,7 +91,7 @@ class Constellation:
 
 
 # the ring of 40 dB at n = 2 (A^2 = 2e4) holds 15,261 points, and its MI
-# took about 19 s and 410 MB (one thread of a 2-core machine); at 45 dB
+# takes about 11 s and 384 MB (one thread of a 2-core machine); at 45 dB
 # the MI's lattice factors alone would need 1.3 to 3.3 GB
 RING_MAX_AMPLITUDE = math.sqrt(2.0e4)
 
@@ -214,7 +214,7 @@ class AnalyticalBound:
     alpha: float
 
 
-def analytical_lower_bound(N: int, Delta: float, alpha: float) -> AnalyticalBound:
+def analytical_lower_bound(N: int, alpha: float) -> AnalyticalBound:
     """Closed-form achievable rate of the N^2-point ring packing.
 
     Dithering the discrete input into the uniform disk of radius N Delta and
@@ -224,17 +224,13 @@ def analytical_lower_bound(N: int, Delta: float, alpha: float) -> AnalyticalBoun
                    - log2( pi e [ N^2 Delta^2 / 2
                                   - P_N^2 (1+rho_N)^2 / (P_N + 2) ] )
 
-    evaluated here with the exact moments.  alpha must satisfy
-    N^2 = alpha (1 + P_N/2); the rate is achieved under peak SNR
-    (N-0.5)^2 Delta^2 / 2.  The gap to log2(1 + P_N/2) approaches
-    0.45 + log2(1 + 1.82/alpha) for large N.
+    evaluated here with the exact moments, at the spacing Delta =
+    delta_for_alpha(N, alpha) that makes N^2 = alpha (1 + P_N/2); the rate
+    is achieved under peak SNR (N-0.5)^2 Delta^2 / 2.  The gap to
+    log2(1 + P_N/2) approaches 0.45 + log2(1 + 1.82/alpha) for large N.
     """
+    Delta = delta_for_alpha(N, alpha)
     m = constellation_moments(N, Delta)
-    alpha_implied = N ** 2 / (1.0 + m.P_N / 2.0)
-    if abs(alpha - alpha_implied) > 1e-6 * alpha_implied:
-        raise ValueError(
-            f"alpha={alpha} inconsistent with (N, Delta): implied "
-            f"alpha={alpha_implied:.9g}; use delta_for_alpha(N, alpha)")
     bracket = N ** 2 * Delta ** 2 / 2.0 - m.P_N ** 2 * (1.0 + m.rho_N) ** 2 / (m.P_N + 2.0)
     if bracket <= 0:
         raise ValueError(f"nonpositive log argument {bracket} (invalid moments)")
@@ -403,19 +399,25 @@ def _lattice_step(points) -> float:
     return _step_for_gap(_longest_gap(points))
 
 
-def _axis_kernel(axis, coords):
+def _axis_kernel(axis, coords, zero_floor=False):
     """exp(-(axis_k - coords_j)^2 / 2), shape (len(axis), len(coords)); the
     difference is taken directly, as an expanded square cancels at large |y|.
 
     An exponent below -700 is raised to -700 (e^-700 is about 1e-304):
     exp is 20 to 180 times slower where its result underflows, and the
     raise moves p_Y at a node by under 1e-304 and -p log p by under 1e-301,
-    far below the last bit of h(Y) >= 1.4 nats."""
+    far below the last bit of h(Y) >= 1.4 nats.  With zero_floor those
+    entries are then exactly 0, as the 2-D factors need (_entropy_lattice);
+    the PAM scan sums its kernel before it scales and keeps the floor."""
     e = np.subtract.outer(axis, coords)
     np.square(e, out=e)
     e *= -0.5
+    far = e < -700.0 if zero_floor else None
     np.maximum(e, -700.0, out=e)
-    return np.exp(e, out=e)
+    np.exp(e, out=e)
+    if zero_floor:
+        np.putmask(e, far, 0.0)
+    return e
 
 
 _TINY = np.finfo(float).tiny
@@ -445,6 +447,10 @@ def _entropy_lattice(points, w, step):
     That is 2 sqrt(K) M exponentials for K nodes and M points, not K M.
     Far from every point p underflows to 0, where 0 is the exact limit of
     -p log p, or in 1-D rests on the kernel's floor (see _axis_kernel).
+    The 2-D factors hold exact zeros below e^-700 and no subnormal number:
+    scaled by w / (2 pi) the floor is subnormal, and at 35 dB (60 % of the
+    entries floored) the product ran 60 times slower on it.  The zeros give
+    the same h(Y) to the last bit.
     """
     dim = points.shape[1]
     if dim == 1:
@@ -457,10 +463,12 @@ def _entropy_lattice(points, w, step):
         R = float(np.sqrt(np.square(points).sum(axis=1)).max()) + 10.0
         k = math.floor(R / step)
         axis = np.arange(-k, k + 1) * step
-        e1 = _axis_kernel(axis, points[:, 0])
+        e1 = _axis_kernel(axis, points[:, 0], zero_floor=True)
         e1 *= w / (2.0 * math.pi)
+        np.putmask(e1, e1 < _TINY, 0.0)   # 183 of 670,455 at 30 dB
         sq = np.square(axis)
-        p = (e1 @ _axis_kernel(axis, points[:, 1]).T)[sq[:, None] + sq <= R * R]
+        p = (e1 @ _axis_kernel(axis, points[:, 1], zero_floor=True).T)[
+            sq[:, None] + sq <= R * R]
     return float(_sum_neg_plogp(p)) * step ** dim
 
 

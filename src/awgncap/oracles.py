@@ -4,7 +4,7 @@ No bound reads these functions.  They evaluate the same quantities by
 another route, so that the property suites in verify and the tests can check
 the production values against them: QUADPACK quadrature of the defining
 integrals (radial functions, Marcum Q_1, angular kernel, divergence,
-two-point MI), the scaled Bessel function e^{-x} I_0(x), the paper's scalar formulas d1 and mckellips_1d, and for
+two-point MI), the paper's scalar formulas d1 and mckellips_1d, and for
 constellation MI the polar Gauss-Legendre rule and a seeded Monte Carlo
 estimator on a log-domain mixture kernel.  The package root does not import
 this module, so importing awgncap loads neither it nor any part of scipy.
@@ -22,7 +22,7 @@ from .radial import ChannelConfig, QuadratureError
 from .specfun import LN2, LN_2PI, LN_2PIE, gamma_half, q_func
 from .upper_bounds import avg_power
 
-__all__ = ["bessel_i0_scaled", "k_n_numeric", "q_n", "g_n", "g_tilde_n", "marcum_q1", "d1",
+__all__ = ["k_n_numeric", "q_n", "g_n", "g_tilde_n", "marcum_q1", "d1",
            "mckellips_1d", "divergence_direct_1d", "divergence_direct_nd",
            "constellation_mi_polar", "constellation_mi_mc", "binary_mi"]
 
@@ -33,20 +33,6 @@ _REL_TOL = 1e-10
 _ABS_TOL = 1e-13
 _TRUNCATION_SIGMA = 40.0
 _MAX_SUBDIVISIONS = 200
-
-
-def bessel_i0_scaled(x):
-    """Exponentially scaled modified Bessel function e^{-x} I_0(x), x >= 0.
-
-    The scaling keeps the value in (0, 1] so products with Gaussian factors
-    can combine exponents analytically instead of overflowing near x ~ 700.
-    Raises ValueError unless every x is finite and >= 0.
-    """
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x < math.inf)).all():
-        raise ValueError("bessel_i0_scaled requires finite x >= 0")
-    out = special.i0e(x)
-    return float(out) if out.ndim == 0 else out
 
 
 def k_n_numeric(n: int, A: float) -> float:

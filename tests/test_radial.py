@@ -47,12 +47,6 @@ class TestShellNormalizer:
             assert radial.k_n_closed(2, A) == pytest.approx(expected, rel=1e-15)
             assert oracles.k_n_numeric(2, A) == pytest.approx(expected, rel=1e-11)
 
-    def test_closed_vs_numeric_grid(self):
-        for n in range(1, 9):
-            for A in (0.1, 1.0, 5.0, 20.0):
-                c = radial.k_n_closed(n, A)
-                assert oracles.k_n_numeric(n, A) == pytest.approx(c, rel=1e-8)
-
     def test_specific_cross_check(self):
         assert oracles.k_n_numeric(4, 1.0) == pytest.approx(
             radial.k_n_closed(4, 1.0), rel=1e-9)
@@ -90,11 +84,6 @@ class TestRadialTail:
         assert oracles.g_n(4, 2.0, 2.0) == pytest.approx(
             _riemann_oracle(4, 2.0, 2.0, lambda z: 0.5 * (z - 2.0) ** 2),
             rel=1e-8)
-
-    def test_identity_at_4_2_2(self):
-        lhs = oracles.g_tilde_n(4, 2.0, 2.0)
-        rhs = 2.0 * oracles.q_n(4, 2.0, 2.0) - oracles.g_n(4, 2.0, 2.0)
-        assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -139,7 +128,14 @@ class TestGridEvaluator:
 # x = A, A from (n, SNR in dB).  The endpoint bounds read these values, and
 # where refined and minmax_conjectured tie algebraically their rounding
 # picks the envelope's achiever, so a speedup of the panel rule or the
-# angular kernel must leave every bit in place.
+# angular kernel must leave every bit in place.  The pins hold for one
+# machine: they were recorded under numpy 2.4.6 with its x86 SIMD dispatch
+# on X86_V4, AVX512_ICL and AVX512_SPR, whose elementwise kernels round
+# some results differently in the last bit; with those paths off
+# (NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4", which leaves
+# AVX2), 8 of the 48 pins fail by one ulp in Q or g.
+PANEL_RULE_PINNED_ON = ("numpy 2.4.6, SIMD dispatch X86_V4, AVX512_ICL, "
+                        "AVX512_SPR; 8 of the 48 pins fail with those off")
 PANEL_RULE_BITS = [
     (2, -10.0, "0", "0x1.cf46d99d52b3ap-1", "0x1.13634c4c59560p-1"),
     (2, -10.0, "A", "0x1.d3b23eb312307p-1", "0x1.387e5f322a031p-1"),
@@ -196,7 +192,9 @@ PANEL_RULE_BITS = [
 def test_panel_rule_bits_are_pinned(n, snr_db, at, q_hex, g_hex):
     A = radial.ChannelConfig.from_snr_db(n, snr_db).A
     Q, G = radial.radial_pair_grid(n, [0.0 if at == "0" else A], A)
-    assert (float(Q[0]).hex(), float(G[0]).hex()) == (q_hex, g_hex)
+    assert (float(Q[0]).hex(), float(G[0]).hex()) == (q_hex, g_hex), (
+        f"pinned under {PANEL_RULE_PINNED_ON}; this run: numpy "
+        f"{np.__version__}")
 
 
 # (n, A, frac, Q_n(x, A), g_n(x, A)) at x = frac * A (the double), to 17

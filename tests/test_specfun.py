@@ -77,43 +77,6 @@ class TestQFunc:
         assert [specfun.q_func(float(v)) for v in x] == arr.tolist()
 
 
-class TestBesselI0Scaled:
-    def test_at_zero(self):
-        assert oracles.bessel_i0_scaled(0.0) == 1.0
-
-    def test_power_series_oracle(self):
-        # e^{-1} sum_k (1/4)^k / (k!)^2
-        acc = sum((0.25) ** k / math.factorial(k) ** 2 for k in range(30))
-        assert oracles.bessel_i0_scaled(1.0) == pytest.approx(
-            math.exp(-1) * acc, rel=1e-14)
-        assert oracles.bessel_i0_scaled(1.0) == pytest.approx(
-            0.4657596075936404365, rel=1e-14)
-
-    def test_large_argument_asymptotic(self):
-        # 1/sqrt(2 pi x) (1 + 1/(8x) + 9/(128 x^2))
-        x = 700.0
-        lead = 1.0 / math.sqrt(2 * math.pi * x)
-        asym = lead * (1 + 1 / (8 * x) + 9 / (128 * x * x))
-        val = oracles.bessel_i0_scaled(x)
-        assert math.isfinite(val)
-        assert val == pytest.approx(asym, rel=1e-7)
-
-    def test_decreasing_in_x(self):
-        x = np.linspace(0, 50, 200)
-        assert np.all(np.diff(oracles.bessel_i0_scaled(x)) < 0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            oracles.bessel_i0_scaled(-0.5)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_domain_error(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            oracles.bessel_i0_scaled(bad)
-        with pytest.raises(ValueError, match="finite"):
-            oracles.bessel_i0_scaled(np.array([0.5, bad]))
-
-
 class TestMarcumQ1:
     def test_a_zero_rayleigh_tail(self):
         for b in (0.3, 1.0, 2.5):
@@ -156,22 +119,6 @@ class TestAngularKernel:
         assert specfun.tilde_i_n(3, 0.0) == pytest.approx(
             math.sqrt(2.0 / math.pi), rel=1e-14)
 
-    def test_series_matches_direct_quadrature(self):
-        def direct(n, x):
-            cn = 2.0 / (2.0 ** (0.5 * (n - 1)) * specfun.gamma_half((n - 1) / 2)
-                        * specfun.SQRT_2PI)
-            val, _ = integrate.quad(
-                lambda p: math.exp(x * math.cos(p)) * math.sin(p) ** (n - 2),
-                0, math.pi, epsabs=1e-14, epsrel=1e-12, limit=200)
-            return cn * val
-
-        assert specfun.tilde_i_n(4, 2.0) == pytest.approx(direct(4, 2.0),
-                                                          rel=1e-10)
-        for n in range(2, 9):
-            for x in (0.0, 0.7, 3.0, 11.0, 27.0):
-                assert specfun.tilde_i_n(n, x) == pytest.approx(direct(n, x),
-                                                                rel=1e-10)
-
     def test_scaled_matches_bessel_ratio_oracle(self):
         # tilde_I_n(x) = I_{(n-2)/2}(x) / x^{(n-2)/2}; scipy.ive is independent
         rng = np.random.default_rng(3)
@@ -200,11 +147,6 @@ class TestAngularKernel:
             0.79531842731866453169, rel=1e-13)
         assert specfun.tilde_i_n(6, 10.0) == pytest.approx(
             22.815189677260035406, rel=1e-12)
-
-    def test_scaled_finite_at_1e4(self):
-        for n in range(2, 9):
-            v = specfun.tilde_i_n_scaled(n, 1e4)
-            assert math.isfinite(v) and v > 0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
