@@ -1,6 +1,7 @@
 """Layer microbenchmarks: the angular kernel, the one-point radial pair, the
-closed-form radial grid, the refined bound's threshold, the PAM scan, the
-2-D gap search, the 2-D ring constellation MI and its lattice sum.
+endpoint pairs of one channel, the closed-form radial grid, the refined
+bound's threshold, the PAM scan, the 2-D gap search, the 2-D ring
+constellation MI and its lattice sum.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # once each
@@ -15,9 +16,11 @@ the PAM scan and ring MI before and after the one-pass PAM scan (under
 runs), BENCH_gap.json those of the gap search and ring MI before and after
 the Gabriel gap replaced the Delaunay one, and BENCH_scipyfree.json those
 of the closed-form radial grid and the threshold before and after the
-half-integer gamma chain replaced scipy.special, and BENCH_lattice.json
+half-integer gamma chain replaced scipy.special, BENCH_lattice.json
 those of the ring lattice before and after its 2-D factors held exact
-zeros in place of subnormal numbers.
+zeros in place of subnormal numbers, and BENCH_endpoint.json those of the
+two endpoint pairs before and after they came from the closed form between
+A*_n and its cap.
 """
 
 from __future__ import annotations
@@ -111,6 +114,34 @@ def test_radial_pair_ncx2_refine(benchmark, n, snr_db):
     Q, G = benchmark.pedantic(radial.radial_pair_ncx2, (n, xs, A),
                               setup=after_grid, rounds=100)
     assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
+
+
+# 10..30 dB lie between A*_n and the closed form's cap for n = 2..5; 50 and
+# 60 dB lie above it (A = 447..2,236)
+ENDPOINT_CHANNELS = ([(n, s) for n in (2, 3, 4, 5) for s in (10.0, 20.0, 30.0)]
+                     + [(n, s) for n in (2, 5) for s in (50.0, 60.0)])
+
+
+def _forget_endpoint_pairs():
+    radial._endpoint_pair.cache_clear()
+    _forget_last_chain()
+
+
+@pytest.mark.parametrize("n, snr_db", ENDPOINT_CHANNELS)
+def test_endpoint_pairs(benchmark, n, snr_db):
+    # both endpoint pairs of one channel through RadialFunctions, from a
+    # cleared memo and a cold chain, as a query stream meets them; the 50
+    # and 60 dB cases guard the cap, above which the closed form's chain of
+    # about A^2 terms would take up to seconds
+    A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+
+    def pairs():
+        rf = radial.RadialFunctions(n, A)
+        return rf.pair(0.0), rf.pair(A)
+
+    (q0, g0), (qA, gA) = benchmark.pedantic(
+        pairs, setup=_forget_endpoint_pairs, rounds=30)
+    assert 0.0 <= q0 < qA < 1.0 and g0 >= 0.0 and gA > 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -18,6 +18,9 @@ e^{-(z-x)^2/2} [e^{-zx} tilde_I_n(zx)], which stays finite for any z*x.
 radial_pair_ncx2 evaluates them with no quadrature: R^2 = |x + Z|^2 is
 noncentral chi-square with n degrees of freedom and noncentrality x^2.
 The adaptive QUADPACK route, an independent reference, is in oracles.
+
+amplitude_threshold(n) is A*_n, the amplitude up to which the refined
+bound is provable; it also picks which route RadialFunctions reads.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .specfun import gamma_half, gauss_pdf, q_func
 __all__ = [
     "ChannelConfig", "QuadratureError", "vol_ball", "log_vol_ball",
     "k_n_closed", "g_edge", "radial_pair_grid", "radial_pair_ncx2",
-    "RadialFunctions",
+    "amplitude_threshold", "RadialFunctions",
 ]
 
 # radial_pair_grid integrates over [A, max(A, x) + _TRUNCATION_SIGMA], where
@@ -171,16 +174,17 @@ def radial_pair_grid(n: int, xs, A: float):
     panel count until two successive refinements agree to _REL_TOL; the
     disagreement of the last doubling is the error estimate.  Raises
     QuadratureError when four doublings do not converge, or when a converged
-    Q_n leaves [0, 1] by more than 1e-12.  The endpoint bounds read it
-    through RadialFunctions.pair.
+    Q_n leaves [0, 1] by more than 1e-12.  RadialFunctions.pair reads it
+    at n = 1, for n >= 2 below A*_n, and above ENDPOINT_NCX2_MAX_AMPLITUDE
+    or where A*_n is not found; radial_pair_ncx2 serves it in between.
 
     Each pass forms the integrand e^{expo} kernel z^{n-1} on the live (x, z)
     entries alone, where |z - x| < 14, and the dead ones are exactly 0; the
     angular kernel runs in cache-sized blocks (specfun._tilde_quad_scaled).
     The sums stay full-row products base @ w, so BLAS adds in one order.
     No bit of Q_n or g_n may move with such a change: where refined and
-    minmax_conjectured tie algebraically, their rounding picks the
-    envelope's achiever, which the benchmark checks exactly
+    minmax_conjectured tie algebraically (below A*_n), their rounding picks
+    the envelope's achiever, which the benchmark checks exactly
     (tests/test_radial.py pins the endpoint values).
     """
     xs = _grid_xs(n, xs, A)
@@ -243,6 +247,11 @@ _LOG_FLOOR = -690.0
 # in cache, which makes the grid about 1.5x faster than blocks of 2^18
 _BLOCK_ENTRIES = 1 << 14
 _TINY = np.finfo(float).tiny
+# radial_pair_ncx2 raises ValueError above this amplitude, before its Gbar
+# chain of about A^2 terms is built: 60 dB at n = 5 is A = 2,236.  At the
+# limit, minmax_verified (513 points and 17) takes 1.7-1.9 s with 545 MB
+# peak RSS, one thread; at 100 dB and n = 2 the chain would take 74.5 GiB.
+NCX2_MAX_AMPLITUDE = 2500.0
 
 
 def _log_gamma_ratio_half(a):
@@ -402,8 +411,19 @@ def radial_pair_ncx2(n: int, xs, A: float):
     1.4e-13 absolute up to A = 40; the subtraction in h_k costs g_n its
     relative accuracy in the deep tail (2.3e-8 where g_n ~ 1e-125 at
     A = 25, x = 0; 4e-9 where g_n ~ 1e-90 at A = 40, x = A/2).
+
+    The chain runs from m = 0 to the top of the last window, about A^2
+    terms at x = A, so the cost grows with A^2 whatever the window: above
+    A = NCX2_MAX_AMPLITUDE (2,500; 60 dB at n = 5 is 2,236) it raises
+    ValueError before it allocates anything.
     """
     xs = _grid_xs(n, xs, A)
+    if A > NCX2_MAX_AMPLITUDE:
+        snr_db = ChannelConfig(n, A).snr_db
+        raise ValueError(
+            f"radial_pair_ncx2 (minmax_verified's route) is evaluated up to "
+            f"A = {NCX2_MAX_AMPLITUDE:g}, got A = {A:.6g} ({snr_db:.6g} dB "
+            f"at n = {n}): its Gbar chain would hold about A^2 terms")
     if xs.size == 0:
         return np.empty(0), np.empty(0)
     sigmas = _WINDOW_SIGMAS
@@ -415,34 +435,139 @@ def radial_pair_ncx2(n: int, xs, A: float):
         sigmas *= 2.0
 
 
+def _threshold_gap(n: int, A: float) -> float:
+    """Margin of the refined bound's provability condition at amplitude A.
+
+    n = 1: 1/2 - Q(2A) - 2A / (sqrt(2 pi e) + 2A), the paper's scalar
+    condition.  n >= 2: 1 - Q_n(A, A) - Vol(A) / ((2 pi)^{n/2} k_n(A) +
+    Vol(A)), where 1 - Q_n(A, A) = P(|A e_1 + Z|^2 <= A^2) is the noncentral
+    chi-square CDF with n degrees of freedom and noncentrality A^2, taken in
+    closed form: subtracting a quadrature Q_n from 1 cancels to rounding
+    noise at small A and large n.
+    """
+    if n == 1:
+        s = math.sqrt(2.0 * math.pi * math.e)
+        return 0.5 - float(q_func(2.0 * A)) - 2.0 * A / (s + 2.0 * A)
+    lhs = specfun.ncx2_cdf_at_noncentrality(n, 0.5 * A * A)
+    v = vol_ball(n, A)
+    return lhs - v / ((2.0 * math.pi) ** (0.5 * n) * k_n_closed(n, A) + v)
+
+
+# relative part of _bisect's stopping test, scipy.optimize.bisect's default
+_BISECT_RTOL = 4.0 * np.finfo(float).eps
+
+
+def _bisect(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f on [lo, hi], given f(lo) > 0 > f(hi), by bisection.
+
+    Step for step scipy.optimize.bisect: halve dm, set xm = lo + dm, and stop
+    once |dm| < xtol + 4 eps |xm|, so the roots are bit-identical to it.
+    """
+    flo = f(lo)
+    dm = hi - lo
+    while True:
+        dm *= 0.5
+        xm = lo + dm
+        fm = f(xm)
+        if fm * flo >= 0:
+            lo = xm
+        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
+            return xm
+
+
+@lru_cache(maxsize=None)
+def amplitude_threshold(n: int) -> float:
+    """Largest amplitude A*_n for which the refined bound is provable.
+
+    A*_n is the smallest positive root of _threshold_gap(n, .): bisection
+    over (0.5, 5) to 1e-12 for n = 1, over (1e-3, 50) to 1e-9 otherwise.
+    A*_1 ~ 2.066, A*_2 ~ 2.364, A*_4 ~ 4.979.
+    """
+    lo, hi, xtol = (0.5, 5.0, 1e-12) if n == 1 else (1e-3, 50.0, 1e-9)
+    flo, fhi = _threshold_gap(n, lo), _threshold_gap(n, hi)
+    if not flo > 0 > fhi:
+        raise RuntimeError(
+            f"threshold bracket failed for n={n}: gap({lo})={flo:.3g}, "
+            f"gap({hi})={fhi:.3g}")
+    return _bisect(lambda A: _threshold_gap(n, A), lo, hi, xtol)
+
+
+# The endpoint pairs read radial_pair_ncx2 up to this amplitude and the
+# panel rule above it: the closed form's Gbar chain starts at m = 0 and is
+# about A^2 terms long, while the panel rule's grid is fixed.  Both pairs of
+# one channel from a cold chain, n = 2..5, one thread, best of 5, closed
+# form against panel rule: 0.52-0.59 against 1.95-2.95 ms at A = 60,
+# 1.08-1.28 against 1.73-2.75 ms at A = 100, 2.09-2.23 against 1.67-2.72 ms
+# at A = 150; at A = 2,236 (n = 5, 60 dB) 0.56-1.3 s with 464 MB peak RSS
+# against 3.6 ms.
+ENDPOINT_NCX2_MAX_AMPLITUDE = 100.0
+
+
+def _refined_provable(n: int, A: float) -> bool:
+    """A < A*_n: the refined bound is provable, and so an envelope candidate.
+
+    refined_nd's valid flag and the route of the endpoint pairs read this
+    one test.  Raises amplitude_threshold's RuntimeError where A*_n is not
+    found.
+    """
+    return A < amplitude_threshold(n)
+
+
+def _endpoint_route(n: int, A: float):
+    """The pair function behind RadialFunctions.pair at (n, A), by the
+    regimes described there: radial_pair_ncx2 for n >= 2 and
+    A*_n <= A <= ENDPOINT_NCX2_MAX_AMPLITUDE, radial_pair_grid otherwise.
+    Where amplitude_threshold finds no A*_n (n >= 37), refined counts as a
+    candidate and the panel rule stays.
+    """
+    if n == 1 or A > ENDPOINT_NCX2_MAX_AMPLITUDE:
+        return radial_pair_grid
+    try:
+        provable = _refined_provable(n, A)
+    except RuntimeError:
+        provable = True
+    return radial_pair_grid if provable else radial_pair_ncx2
+
+
 @lru_cache(maxsize=64)
 def _endpoint_pair(n: int, A: float, x: float) -> tuple[float, float]:
-    """radial_pair_grid at one x, memoized for RadialFunctions.pair.
+    """(Q_n(x, A), g_n(x, A)) from _endpoint_route(n, A), memoized for
+    RadialFunctions.pair.
 
-    radial_pair_grid(n, [x], A) is deterministic, so a hit returns the bits
-    a fresh evaluation would.  The endpoint bounds at one (n, A) read two
-    entries, one after the other, so a small bound loses no sharing and keeps
-    the memo from growing over a long stream of queries.
+    Both routes are deterministic, so a hit returns the bits a fresh
+    evaluation would.  The endpoint bounds at one (n, A) read two entries,
+    one after the other, so a small bound loses no sharing and keeps the
+    memo from growing over a long stream of queries.
     """
-    Q, G = radial_pair_grid(n, [x], A)
+    Q, G = _endpoint_route(n, A)(n, [x], A)
     return float(Q[0]), float(G[0])
 
 
 class RadialFunctions:
     """The endpoint radial values of one (n, A) channel instance.
 
-    pair(x) reads the panel rule radial_pair_grid, which is the closed form
-    for n = 1.  It feeds the endpoint bounds: refined, beta* and
-    minmax_conjectured.  When the worst case sits at x = A, refined and
-    minmax_conjectured are algebraically equal, so rounding alone picks the
-    envelope's achiever; the endpoint values stay bit-identical until the
-    benchmark's achiever check (perfbench/check.py) is tie-aware.
+    pair(x) feeds the endpoint bounds: refined, beta*, minmax_conjectured
+    and d_n.  Its values come from one of three regimes (_endpoint_route):
 
-    Lookups go through the module-wide memo _endpoint_pair, so the endpoint
-    bounds at one (n, A) share two evaluations, whichever instances they
-    build.  The memo is idempotent, so concurrent readers and redundant
-    concurrent writes are safe.  The verified min-max route reads the closed
-    form radial_pair_ncx2 instead.
+    - below A*_n, the panel rule radial_pair_grid, bit for bit.  There
+      refined and minmax_conjectured are algebraically equal when the worst
+      case sits at x = A, so rounding alone picks the envelope's achiever;
+      these values stay bit-identical until the benchmark's achiever check
+      (perfbench/check.py) is tie-aware;
+    - from A*_n up to ENDPOINT_NCX2_MAX_AMPLITUDE, the closed form
+      radial_pair_ncx2.  There refined is no candidate, and the two lowest
+      of the others (avg_power, mckellips, minmax_conjectured) stay at
+      least 0.35 % apart (n = 2..8, 0.25 dB grid), so no achiever hangs on
+      the last bits;
+    - above that amplitude, and wherever A*_n is not found, the panel rule
+      again: the closed form's Gbar chain grows with A^2.
+
+    n = 1 reads the Gaussian-tail closed form of radial_pair_grid.  Lookups
+    go through the module-wide memo _endpoint_pair, so the endpoint bounds
+    at one (n, A) share two evaluations, whichever instances they build.
+    The memo is idempotent, so concurrent readers and redundant concurrent
+    writes are safe.  The verified min-max route reads radial_pair_ncx2 on
+    its x grid directly.
     """
 
     def __init__(self, n: int, A: float):

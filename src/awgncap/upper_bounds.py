@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from . import radial, specfun
-from .radial import ChannelConfig, RadialFunctions
+from . import radial
+from .radial import ChannelConfig, RadialFunctions, amplitude_threshold
 from .specfun import LN2, LN_2PI, LN_2PIE, binary_entropy_nats, q_func
 
 __all__ = [
@@ -128,63 +127,6 @@ def mckellips_nd(n: int, P: float) -> float:
     return min(peak, avg_power(n, P))
 
 
-def _threshold_gap(n: int, A: float) -> float:
-    """Margin of the refined bound's provability condition at amplitude A.
-
-    n = 1: 1/2 - Q(2A) - 2A / (sqrt(2 pi e) + 2A), the paper's scalar
-    condition.  n >= 2: 1 - Q_n(A, A) - Vol(A) / ((2 pi)^{n/2} k_n(A) +
-    Vol(A)), where 1 - Q_n(A, A) = P(|A e_1 + Z|^2 <= A^2) is the noncentral
-    chi-square CDF with n degrees of freedom and noncentrality A^2, taken in
-    closed form: subtracting a quadrature Q_n from 1 cancels to rounding
-    noise at small A and large n.
-    """
-    if n == 1:
-        s = math.sqrt(2.0 * math.pi * math.e)
-        return 0.5 - float(q_func(2.0 * A)) - 2.0 * A / (s + 2.0 * A)
-    lhs = specfun.ncx2_cdf_at_noncentrality(n, 0.5 * A * A)
-    v = radial.vol_ball(n, A)
-    return lhs - v / ((2.0 * math.pi) ** (0.5 * n) * radial.k_n_closed(n, A) + v)
-
-
-# relative part of _bisect's stopping test, scipy.optimize.bisect's default
-_BISECT_RTOL = 4.0 * np.finfo(float).eps
-
-
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
-    """Root of f on [lo, hi], given f(lo) > 0 > f(hi), by bisection.
-
-    Step for step scipy.optimize.bisect: halve dm, set xm = lo + dm, and stop
-    once |dm| < xtol + 4 eps |xm|, so the roots are bit-identical to it.
-    """
-    flo = f(lo)
-    dm = hi - lo
-    while True:
-        dm *= 0.5
-        xm = lo + dm
-        fm = f(xm)
-        if fm * flo >= 0:
-            lo = xm
-        if fm == 0 or abs(dm) < xtol + _BISECT_RTOL * abs(xm):
-            return xm
-
-
-@lru_cache(maxsize=None)
-def amplitude_threshold(n: int) -> float:
-    """Largest amplitude A*_n for which the refined bound is provable.
-
-    A*_n is the smallest positive root of _threshold_gap(n, .): bisection
-    over (0.5, 5) to 1e-12 for n = 1, over (1e-3, 50) to 1e-9 otherwise.
-    A*_1 ~ 2.066, A*_2 ~ 2.364, A*_4 ~ 4.979.
-    """
-    lo, hi, xtol = (0.5, 5.0, 1e-12) if n == 1 else (1e-3, 50.0, 1e-9)
-    flo, fhi = _threshold_gap(n, lo), _threshold_gap(n, hi)
-    if not flo > 0 > fhi:
-        raise RuntimeError(
-            f"threshold bracket failed for n={n}: gap({lo})={flo:.3g}, "
-            f"gap({hi})={fhi:.3g}")
-    return _bisect(lambda A: _threshold_gap(n, A), lo, hi, xtol)
-
-
 def refined_nd(n: int, P: float) -> BoundPoint:
     """Refined bound for dimension n, optimizing beta against x = A.
 
@@ -193,7 +135,8 @@ def refined_nd(n: int, P: float) -> BoundPoint:
         C <= (1 - beta_n) log k_n(A) + beta_n log(Vol(A)/(2 pi e)^{n/2})
              + H_e(beta_n) - gtilde_n(A, A)    [nats],
 
-    provable for A < A*_n (valid flag).  At n = 1 this is not refined_1d:
+    provable for A < A*_n (valid flag; radial._refined_provable, which also
+    picks the route of the endpoint pairs).  At n = 1 this is not refined_1d:
     that bound, the paper's scalar one, is larger by gtilde_1(A, A) and has
     its own threshold.
     """
@@ -205,7 +148,7 @@ def refined_nd(n: int, P: float) -> BoundPoint:
             + beta * (radial.log_vol_ball(n, A) - 0.5 * n * LN_2PIE)
             + binary_entropy_nats(beta) - g_tilde)
     return BoundPoint(snr_db=10.0 * math.log10(P), rate_bits=nats / LN2,
-                      bound_id="refined", valid=A < amplitude_threshold(n))
+                      bound_id="refined", valid=radial._refined_provable(n, A))
 
 
 def refined(n: int, P: float) -> BoundPoint:

@@ -252,6 +252,11 @@ class TestInvalidInput:
         ("point --dim 2 --snr-db 45 --bounds ring_lower",
          "ring_lower's ring is built up to A = 141.421 (40 dB), got "
          "A = 251.487 (45 dB)"),
+        # the closed-form radial pair's limit, raised before its Gbar chain
+        # of about A^2 terms is built
+        ("point --dim 2 --snr-db 100 --bounds minmax_verified",
+         "radial_pair_ncx2 (minmax_verified's route) is evaluated up to "
+         "A = 2500, got A = 141421 (100 dB at n = 2)"),
     ])
     def test_numerical_failure_exits_two(self, argv, message, tmp_path,
                                          capsys):
@@ -341,6 +346,25 @@ class TestReferenceQueries:
             assert pt.rate_bits == pytest.approx(want["rate"], abs=1e-9), where
             assert (pt.valid, pt.achiever) == (want["valid"],
                                                want["achiever"]), where
+
+    def test_closed_form_regime_matches_reference(self):
+        # every seed-0 query_nd answer at A >= A*_n, where the endpoint pairs
+        # come from radial_pair_ncx2 (the stream stays below 30 dB, under
+        # the closed form's cap)
+        ref = json.loads((_REFERENCE / "query_nd_seed0.json").read_text())
+        checked = 0
+        for (n, bound_id, snr_db), want in ref["answers"]:
+            P = 10.0 ** (snr_db / 10.0)
+            if radial._refined_provable(
+                    n, radial.ChannelConfig.from_snr(n, P).A):
+                continue
+            pt = compute_bound(bound_id, n, P)
+            where = (n, bound_id, snr_db)
+            assert pt.rate_bits == pytest.approx(want["rate"], abs=1e-9), where
+            assert (pt.valid, pt.achiever) == (want["valid"],
+                                               want["achiever"]), where
+            checked += 1
+        assert checked == 1664
 
 
 class TestListBounds:

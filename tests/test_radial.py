@@ -434,6 +434,25 @@ class TestClosedFormNcx2:
         assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
         assert np.all(np.diff(Q) >= -1e-12) and np.all(np.diff(G) >= -1e-9)
 
+    def test_amplitude_limit(self, monkeypatch):
+        # above NCX2_MAX_AMPLITUDE the closed form raises before it builds a
+        # window or a chain; the limit itself, above 60 dB at n = 5, still
+        # reaches them
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(radial, "_poisson_window", reached)
+        limit = radial.NCX2_MAX_AMPLITUDE
+        assert limit >= radial.ChannelConfig.from_snr_db(5, 60.0).A
+        with pytest.raises(Reached):
+            radial.radial_pair_ncx2(5, [0.0, limit], limit)
+        for A in (math.nextafter(limit, math.inf), math.sqrt(2e10), 1e300):
+            with pytest.raises(ValueError, match="up to A = 2500, got A = "):
+                radial.radial_pair_ncx2(2, [0.0, A], A)
+
     def test_grid_and_scalar_route_agree(self):
         xs = np.linspace(0.0, 6.0, 17)
         Q, G = radial.radial_pair_ncx2(4, xs, 6.0)

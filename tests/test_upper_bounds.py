@@ -187,7 +187,7 @@ class TestRefinedNd:
         # the in-house bisection takes scipy.optimize.bisect's steps; A*_1
         # was a brentq root
         def gap(A):
-            return upper_bounds._threshold_gap(n, A)
+            return radial._threshold_gap(n, A)
 
         if n == 1:
             ref = optimize.brentq(gap, 0.5, 5.0, xtol=1e-12)
@@ -447,26 +447,104 @@ class TestEndpointPairs:
     """The endpoint bounds read Q_n, g_n at x = 0 and x = A only."""
 
     def test_three_bounds_share_two_radial_evaluations(self, monkeypatch):
-        n, P = 3, 10.0 ** 0.8
-        cold = {}
-        for b in _ENDPOINT_IDS:
-            radial._endpoint_pair.cache_clear()
-            cold[b] = cli.compute_bound(b, n, P)
-        xs = []
-        real = radial.radial_pair_grid
+        # one channel per route: below A*_3 = 3.65 (panel rule), between
+        # A*_3 and the closed form's cap (radial_pair_ncx2), above the cap
+        # at A = 112 (panel rule)
+        channels = [(3, 10.0 ** 0.2, "radial_pair_grid"),
+                    (3, 10.0 ** 0.8, "radial_pair_ncx2"),
+                    (2, 10.0 ** 3.8, "radial_pair_grid")]
+        for n, P, route in channels:
+            cold = {}
+            for b in _ENDPOINT_IDS:
+                radial._endpoint_pair.cache_clear()
+                cold[b] = cli.compute_bound(b, n, P)
+            calls = []
+            with monkeypatch.context() as m:
+                for name in ("radial_pair_grid", "radial_pair_ncx2"):
+                    def counting(n_, x, A, *args, _name=name,
+                                 _real=getattr(radial, name), **kwargs):
+                        calls.extend((_name, v)
+                                     for v in np.atleast_1d(x).tolist())
+                        return _real(n_, x, A, *args, **kwargs)
 
-        def counting(n_, x, A, *args, **kwargs):
-            xs.extend(np.atleast_1d(x).tolist())
-            return real(n_, x, A, *args, **kwargs)
-
-        monkeypatch.setattr(radial, "radial_pair_grid", counting)
-        radial._endpoint_pair.cache_clear()
-        warm = {b: cli.compute_bound(b, n, P) for b in _ENDPOINT_IDS}
-        assert sorted(xs) == [0.0, math.sqrt(n * P)]
-        assert warm == cold
+                    m.setattr(radial, name, counting)
+                radial._endpoint_pair.cache_clear()
+                warm = {b: cli.compute_bound(b, n, P) for b in _ENDPOINT_IDS}
+            assert sorted(calls) == [(route, 0.0), (route, math.sqrt(n * P))]
+            assert warm == cold
 
     @pytest.mark.parametrize("bound_id", _ENDPOINT_IDS)
     def test_probability_outside_unit_interval_raises(self, bound_id):
         # at 200 dB the panel rule converges to Q_2(A, A) = 7.18
         with pytest.raises(radial.QuadratureError, match=r"\[0, 1\]"):
             cli.compute_bound(bound_id, 2, 1e20)
+
+
+class TestEndpointRoute:
+    """RadialFunctions.pair reads the panel rule where refined is an envelope
+    candidate (A < A*_n) and above the closed form's cap, radial_pair_ncx2
+    in between; refined_nd's valid flag reads the same test."""
+
+    @staticmethod
+    def _pair_bits(route, n, A):
+        return [tuple(float(v[0]) for v in route(n, [x], A)) for x in (0.0, A)]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_route_and_valid_flag_by_regime(self, n):
+        a_star = amplitude_threshold(n)
+        cap = radial.ENDPOINT_NCX2_MAX_AMPLITUDE
+        for A, closed in ((a_star * (1.0 - 1e-9), False),
+                          (a_star * (1.0 + 1e-9), True),
+                          (0.5 * (a_star + cap), True),
+                          (cap * (1.0 - 1e-9), True),
+                          (cap * (1.0 + 1e-9), False)):
+            # the A that refined_nd recomputes from P, so both read one A
+            P = A * A / n
+            A = ChannelConfig.from_snr(n, P).A
+            route = (radial.radial_pair_ncx2 if closed
+                     else radial.radial_pair_grid)
+            radial._endpoint_pair.cache_clear()
+            rf = radial.RadialFunctions(n, A)
+            assert [rf.pair(0.0), rf.pair(A)] == self._pair_bits(route, n, A)
+            valid = refined_nd(n, P).valid
+            assert valid == (A < a_star)
+            if A <= cap:
+                assert valid != closed, (n, A)
+
+    def test_panel_rule_where_no_threshold_is_found(self):
+        # amplitude_threshold's bracket tops out at 50 and A*_36 = 49.36, so
+        # n = 48 and 64 have no A*_n: refined raises, the pairs stay the
+        # panel rule and minmax_conjectured keeps its values at 10 dB
+        for n, bits in ((48, 82.773275208), (64, 110.664812672)):
+            A = ChannelConfig.from_snr(n, 10.0).A
+            with pytest.raises(RuntimeError, match="threshold bracket"):
+                refined_nd(n, 10.0)
+            radial._endpoint_pair.cache_clear()
+            rf = radial.RadialFunctions(n, A)
+            assert [rf.pair(0.0), rf.pair(A)] == self._pair_bits(
+                radial.radial_pair_grid, n, A)
+            assert minmax_dual(n, A).rate_bits == pytest.approx(bits,
+                                                                abs=1e-9)
+
+    def test_candidates_stay_apart_where_pairs_are_closed_form(self):
+        # above A*_n the envelope's candidates are avg_power, mckellips and
+        # minmax_conjectured; their two lowest differ by at least 3.5e-3
+        # relative (n = 2, 36.75 dB), so no achiever hangs on the closed
+        # form's last bits
+        cap = radial.ENDPOINT_NCX2_MAX_AMPLITUDE
+        worst, count = math.inf, 0
+        for n in range(2, 9):
+            lo = math.floor(40.0 * math.log10(amplitude_threshold(n) ** 2 / n))
+            hi = math.ceil(40.0 * math.log10(cap * cap / n))
+            for k in range(lo, hi + 1):
+                P = 10.0 ** (k / 40.0)
+                A = ChannelConfig.from_snr(n, P).A
+                if A < amplitude_threshold(n) or A > cap:
+                    continue
+                rates = sorted((upper_bounds.avg_power(n, P),
+                                mckellips_nd(n, P),
+                                minmax_dual(n, A).rate_bits))
+                worst = min(worst, (rates[1] - rates[0]) / rates[0])
+                count += 1
+        assert count == 696
+        assert worst > 1e-6
