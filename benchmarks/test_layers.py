@@ -20,15 +20,19 @@ half-integer gamma chain replaced scipy.special, BENCH_lattice.json
 those of the ring lattice before and after its 2-D factors held exact
 zeros in place of subnormal numbers, and BENCH_endpoint.json those of the
 two endpoint pairs before and after they came from the closed form between
-A*_n and its cap.
+A*_n and its cap, and BENCH_ncx2.json those of the verified min-max query,
+the closed-form grid, its refinement and the endpoint pairs before and
+after the closed form's sums took one exponential per entry.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from awgncap import lower_bounds, radial, specfun, upper_bounds
+from awgncap import cli, lower_bounds, radial, specfun, upper_bounds
 
 # 1,120 arguments per route: what the panel rule's second pass at x = A hands
 # the kernel (the 3,200 nodes on [A, A + 40] with |z - A| < 14); at 25 dB
@@ -81,10 +85,16 @@ VERIFIED_SNR_DB = [-5.0, 5.0, 15.0, 25.0]
 
 
 def _forget_last_chain():
-    # radial_pair_ncx2 reuses the incomplete-gamma chain of its last call
-    # at the same A; each round starts without it
+    # each round starts without an incomplete-gamma chain: a tree whose
+    # radial_pair_ncx2 keeps its last chain module-wide drops it here;
+    # outside radial.shared_chain() no chain outlives its call
     if hasattr(radial, "_last_chain"):
         radial._last_chain = (np.nan, np.empty(0))
+
+
+# the block in which the verified route's grid call and its refinement share
+# one chain; a tree without it shares through the module-wide last chain
+_shared_chain = getattr(radial, "shared_chain", contextlib.nullcontext)
 
 
 @pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
@@ -111,9 +121,22 @@ def test_radial_pair_ncx2_refine(benchmark, n, snr_db):
         _forget_last_chain()
         radial.radial_pair_ncx2(n, grid, A)
 
-    Q, G = benchmark.pedantic(radial.radial_pair_ncx2, (n, xs, A),
-                              setup=after_grid, rounds=100)
+    with _shared_chain():
+        Q, G = benchmark.pedantic(radial.radial_pair_ncx2, (n, xs, A),
+                                  setup=after_grid, rounds=100)
     assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
+
+
+@pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_minmax_verified_query(benchmark, n, snr_db):
+    # one verified min-max query as the verified_nd stream asks it, from a
+    # cold chain: the closed-form grid, the golden-section search over beta
+    # and the refinement, so the search's share shows beside the sums
+    P = 10.0 ** (snr_db / 10.0)
+    pt = benchmark.pedantic(cli.compute_bound, ("minmax_verified", n, P),
+                            setup=_forget_last_chain, rounds=30)
+    assert pt.valid and pt.rate_bits > 0.0
 
 
 # 10..30 dB lie between A*_n and the closed form's cap for n = 2..5; 50 and

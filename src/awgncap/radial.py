@@ -26,6 +26,7 @@ bound is provable; it also picks which route RadialFunctions reads.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +38,7 @@ from .specfun import gamma_half, gauss_pdf, q_func
 __all__ = [
     "ChannelConfig", "QuadratureError", "vol_ball", "log_vol_ball",
     "k_n_closed", "g_edge", "radial_pair_grid", "radial_pair_ncx2",
-    "amplitude_threshold", "RadialFunctions",
+    "amplitude_threshold", "RadialFunctions", "shared_chain",
 ]
 
 # radial_pair_grid integrates over [A, max(A, x) + _TRUNCATION_SIGMA], where
@@ -243,14 +244,16 @@ def radial_pair_grid(n: int, xs, A: float):
 _WINDOW_SIGMAS = 9.0
 _EDGE_LOG = -40.0
 _LOG_FLOOR = -690.0
-# (x, k) entries summed per block in radial_pair_ncx2: small enough to stay
-# in cache, which makes the grid about 1.5x faster than blocks of 2^18
+# (x, k) entries summed per block in radial_pair_ncx2, counted over the
+# union of the block's windows: small enough to stay in cache, which makes
+# the grid about 1.5x faster than blocks of 2^18
 _BLOCK_ENTRIES = 1 << 14
 _TINY = np.finfo(float).tiny
 # radial_pair_ncx2 raises ValueError above this amplitude, before its Gbar
 # chain of about A^2 terms is built: 60 dB at n = 5 is A = 2,236.  At the
-# limit, minmax_verified (513 points and 17) takes 1.7-1.9 s with 545 MB
-# peak RSS, one thread; at 100 dB and n = 2 the chain would take 74.5 GiB.
+# limit, minmax_verified (513 points and 17) takes 2.0-2.2 s with 383 MB
+# peak RSS at n = 2 and 5, one thread; at 100 dB and n = 2 the chain would
+# take 74.5 GiB.
 NCX2_MAX_AMPLITUDE = 2500.0
 
 
@@ -274,16 +277,33 @@ def _log_gamma_ratio_half(a):
     return out
 
 
-@lru_cache(maxsize=None)
-def _k_tables(n: int, cap: int):
+# the k-only tables kept between calls, as (log k!, c_m) for m below a
+# power of two; longer ranges are built for the call that asks for them
+_kept_k_tables = (np.empty(0), np.empty(0))
+
+
+def _k_tables(n: int, k_first: int, k_end: int):
     """log k! and c_m = sqrt(2) Gamma((m+1)/2)/Gamma(m/2) at m = n + 2k,
-    k = 0..cap-1: radial_pair_ncx2's tables that do not depend on A,
-    read-only."""
-    log_fact = specfun.log_factorial(np.arange(cap))
-    c = math.sqrt(2.0) * np.exp(_log_gamma_ratio_half(0.5 * n
-                                                      + np.arange(cap)))
-    log_fact.flags.writeable = c.flags.writeable = False
-    return log_fact, c
+    k = k_first..k_end - 1: radial_pair_ncx2's tables that do not depend on
+    A, read-only.  Tables up to m = specfun.KEPT_TABLE_LEN are kept for
+    later calls, whatever n; beyond it only the range asked for is built.
+    """
+    global _kept_k_tables
+    m_first, m_end = n + 2 * k_first, n + 2 * k_end
+    if _kept_k_tables[1].size < m_end:
+        if m_end > specfun.KEPT_TABLE_LEN:
+            k = np.arange(k_first, k_end)
+            return (specfun.log_factorial(k), math.sqrt(2.0)
+                    * np.exp(_log_gamma_ratio_half(0.5 * n + k)))
+        cap = 1 << max(m_end - 1, 63).bit_length()
+        log_fact = specfun.log_factorial(np.arange(cap // 2))
+        c = np.zeros(cap)  # c_0 is never read: m >= n >= 1
+        c[1:] = math.sqrt(2.0) * np.exp(_log_gamma_ratio_half(
+            0.5 * np.arange(1, cap)))
+        log_fact.flags.writeable = c.flags.writeable = False
+        _kept_k_tables = (log_fact, c)
+    log_fact, c = _kept_k_tables
+    return log_fact[k_first:k_end], c[m_first:m_end:2]
 
 
 def _poisson_window(n: int, xs, A: float, sigmas: float):
@@ -291,99 +311,177 @@ def _poisson_window(n: int, xs, A: float, sigmas: float):
 
     Given |x + Z| = r, the index of R^2's Poisson mixture peaks at the root
     k*(r) of (k + 1/2)(k + n/2 - 1/2) = (x r / 2)^2.  The tail R > A puts
-    r between A and max(A, x) + 10; the window adds `sigmas` times
-    sqrt(k* + 1) and 10 more on each side.  It is O(A) wide, however far
-    the terms sit from the Poisson mean x^2/2.
+    r at A or above, and R^2 has mean x^2 + n, so r is taken between A and
+    max(A, sqrt(x^2 + n)) + 3; the window adds `sigmas` times sqrt(k* + 1)
+    and 5 more on each side.  It is O(A) wide, however far the terms sit
+    from the Poisson mean x^2/2.  This fit only sizes the first window:
+    _ncx2_sums tests its edges, and radial_pair_ncx2 widens a window that
+    cuts terms.
     """
     b = 0.25 * (n - 2)
-    # k* at r = A (row 0) and at r = max(A, x) + 10 (row 1)
+    # k* at r = A (row 0) and at r = max(A, sqrt(x^2 + n)) + 3 (row 1)
     r = np.empty((2, xs.size))
     r[0] = A
-    np.add(np.maximum(A, xs), 10.0, out=r[1])
-    k = np.maximum(np.sqrt(b * b + np.square(0.5 * xs * r)) - b - 0.5, 0.0)
-    spread = sigmas * np.sqrt(k + 1.0)
-    lo = np.floor(k[0] - spread[0] - 10.0)
-    hi = np.ceil(k[1] + spread[1] + 10.0)
+    np.sqrt(np.square(xs) + n, out=r[1])
+    np.maximum(r[1], A, out=r[1])
+    r[1] += 3.0
+    r *= 0.5 * xs
+    k = np.sqrt(np.square(r) + b * b)
+    k -= b + 0.5
+    np.maximum(k, 0.0, out=k)
+    spread = np.sqrt(k + 1.0)
+    spread *= sigmas
+    lo = np.floor(k[0] - spread[0] - 5.0)
+    hi = np.ceil(k[1] + spread[1] + 5.0)
     return np.maximum(lo, 0.0).astype(np.int64), hi.astype(np.int64)
 
 
-# the last chain of log Gbar values and its y: the verified min-max route's
-# grid call and its refinement at the same A share one chain
-_last_chain = (math.nan, np.empty(0))
+# the Gbar chain shared inside a shared_chain() block, as [y, chain]; None
+# outside one, where no chain outlives the call that built it
+_chain_scope = None
+
+
+@contextmanager
+def shared_chain():
+    """Let the radial_pair_ncx2 calls inside the block (or the decorated
+    function) share one Gbar chain per A, and drop it when the block ends.
+
+    The verified min-max route's grid call and its refinement at the same A
+    share one chain this way.  A chain is a deterministic function of
+    (y, m), so a shared chain gives the bits a fresh one would.  A nested
+    block has a chain of its own.
+    """
+    global _chain_scope
+    outer, _chain_scope = _chain_scope, [math.nan, np.empty(0)]
+    try:
+        yield
+    finally:
+        _chain_scope = outer
 
 
 def _log_gbar_chain(y: float, m_last: int):
     """specfun.log_gamma_q_half(y, m) for some m >= m_last, read-only.
 
-    Reuses the last chain when y matches and it is long enough; a chain is
-    a deterministic function of (y, m), so a hit returns the bits a fresh
-    evaluation would.
+    Inside a shared_chain() block, reuses the block's chain when y matches
+    and it is long enough.
     """
-    global _last_chain
-    last_y, chain = _last_chain
-    if last_y == y and chain.size > m_last:
-        return chain
+    scope = _chain_scope
+    if scope is not None and scope[0] == y and scope[1].size > m_last:
+        return scope[1]
     chain = specfun.log_gamma_q_half(y, m_last)
     chain.flags.writeable = False
-    _last_chain = (y, chain)
+    if scope is not None:
+        scope[:] = y, chain
     return chain
 
 
 def _ncx2_sums(n: int, xs, A: float, lo, hi):
-    """The Poisson sums of radial_pair_ncx2 over the windows [lo, hi] (a
-    block of rows shares its widest window), and whether some window's edge
-    term was not negligible."""
-    width = int((hi - lo).max()) + 1
-    k_first = int(lo.min())
-    k_last = int(lo.max()) + width
-    # everything that depends on k only, for k = k_first..k_last: Gbar at
-    # a = m/2 (one longer, for the m/2 + 1 of the second moment) and at
-    # a + 1/2, read from one half-integer chain at y = A^2/2
-    a = 0.5 * n + np.arange(k_first, k_last + 1)
-    m_first, m_last = n + 2 * k_first, n + 2 * k_last
-    log_gq = _log_gbar_chain(0.5 * A * A, m_last)
-    gq = np.exp(log_gq[m_first:m_last + 1:2])
-    gh = np.exp(log_gq[m_first + 1:m_last:2])
-    log_fact, c = _k_tables(n, 1 << k_last.bit_length())
-    log_fact = log_fact[k_first:k_last]
-    c = c[k_first:k_last]
-    h = 0.5 * (2.0 * a[:-1] * gq[1:] - 2.0 * A * c * gh + A * A * gq[:-1])
-    with np.errstate(divide="ignore"):
-        # log w_k = k log(mu) - mu - log k!; the per-k part joins each table
-        tables = (log_gq[m_first:m_last:2] - log_fact,
-                  np.log(np.maximum(h, 0.0)) - log_fact)
+    """The Poisson sums of radial_pair_ncx2 over windows covering [lo, hi],
+    and whether some window's edge term was not negligible.
 
-    Q = np.empty(xs.size)
-    G = np.empty(xs.size)
-    clipped = False
-    step = max(1, _BLOCK_ENTRIES // width)
-    for i in range(0, xs.size, step):
-        rows = slice(i, i + step)
-        start = lo[rows]
-        offsets = np.arange(int((hi[rows] - start).max()) + 1)
-        mu = 0.5 * np.square(xs[rows])
-        # mu = 0 leaves only k = 0: a tiny floor keeps 0 * log(mu) finite
-        log_mu = np.log(np.maximum(mu, _TINY))[:, None]
-        idx = offsets + (start - k_first)[:, None]
-        k_log_mu = offsets + start[:, None].astype(float)
-        k_log_mu *= log_mu
-        # the lower edge is exact at k = 0; the terms decay past both edges,
-        # so small edge terms bound what the window leaves out
-        open_below = start > 0
-        floor = _LOG_FLOOR + mu
-        for out, table in zip((Q, G), tables):
-            log_t = table[idx]
-            log_t += k_log_mu
-            peak = log_t.max(axis=1)
-            edge = np.maximum(np.where(open_below, log_t[:, 0], -np.inf),
-                              log_t[:, -1])
-            limit = np.maximum(peak + _EDGE_LOG, floor)
-            clipped |= bool((edge > limit).any())
-            shift = np.where(np.isfinite(peak), peak, 0.0)
-            log_t -= shift[:, None]
-            np.exp(log_t, out=log_t)
-            out[rows] = log_t.sum(axis=1) * np.exp(shift - mu)
-    return Q, G, clipped
+    Each (x, k) entry takes one exponential, its Q_n term
+    t_k = w_k Gbar(m/2, y); g_n's term is t_k r_k, with r_k =
+    h_k / Gbar(m/2, y) a table over k alone, formed once per call in the
+    log domain (r_k = 0 where h_k <= 0).  A block of consecutive rows sums
+    over the union of their windows, so the k-only tables are sliced and
+    broadcast, not gathered; rows join a block while it holds at most
+    _BLOCK_ENTRIES entries at that union width.  The two sums are one
+    matrix product with the columns (1, r_k).  Each row's edge terms of
+    both sums are tested against that sum's peak term times e^_EDGE_LOG,
+    or the floor, in the log domain.
+    """
+    k_first = int(lo.min())
+    k_end = int(hi.max()) + 1
+    size = k_end - k_first
+    # everything that depends on k only, for k = k_first..k_end - 1: Gbar
+    # at a = m/2 (one longer, for the m/2 + 1 of the second moment) and at
+    # a + 1/2, read from one half-integer chain at y = A^2/2
+    m_first, m_end = n + 2 * k_first, n + 2 * k_end
+    log_gq = _log_gbar_chain(0.5 * A * A, m_end)
+    gq = np.exp(log_gq[m_first:m_end + 1:2])
+    gh = np.exp(log_gq[m_first + 1:m_end:2])
+    log_fact, c = _k_tables(n, k_first, k_end)
+    m = np.arange(m_first, m_end, 2, dtype=float)
+    h = 0.5 * (m * gq[1:] - 2.0 * A * c * gh + A * A * gq[:-1])
+    # log w_k = k log(mu) - mu - log k!; the per-k part joins each table,
+    # and log r_k is the difference of the two tables, which rounds the
+    # way g_n's own table would
+    log_t = log_gq[m_first:m_end:2] - log_fact
+    log_r = np.log(h, out=np.full(size, -np.inf), where=h > 0.0)
+    log_r -= log_fact
+    log_r -= log_t
+    ones_r = np.empty((size, 2))
+    ones_r[:, 0] = 1.0
+    np.exp(log_r, out=ones_r[:, 1])
+    ks = np.arange(k_first, k_end, dtype=float)
+
+    rows = xs.size
+    mu = 0.5 * np.square(xs)
+    # mu = 0 leaves only k = 0: a tiny floor keeps 0 * log(mu) finite
+    log_mu = np.log(np.maximum(mu, _TINY))
+    sums = np.empty((rows, 2))
+    peak = np.empty(rows)
+    at = np.empty(rows, dtype=np.int64)
+    first = np.empty(rows, dtype=np.int64)
+    last = np.empty(rows, dtype=np.int64)
+    edges = np.empty((2, rows))
+    work = np.empty(0)
+    i = 0
+    while i < rows:
+        if rows * size <= _BLOCK_ENTRIES:
+            j, j0, j1 = rows, 0, size
+        else:
+            # the longest run of rows whose union window fits the block
+            look = max(1, _BLOCK_ENTRIES // int(hi[i] - lo[i] + 1))
+            b_lo = np.minimum.accumulate(lo[i:i + look])
+            b_hi = np.maximum.accumulate(hi[i:i + look])
+            entries = (b_hi - b_lo + 1) * np.arange(1, b_lo.size + 1)
+            count = max(1, int(np.searchsorted(entries, _BLOCK_ENTRIES,
+                                               side="right")))
+            j = i + count
+            j0 = int(b_lo[count - 1]) - k_first
+            j1 = int(b_hi[count - 1]) + 1 - k_first
+        if (j - i) * (j1 - j0) > work.size:
+            work = np.empty(max((j - i) * (j1 - j0),
+                                min(rows * size, _BLOCK_ENTRIES)))
+        block = work[:(j - i) * (j1 - j0)].reshape(j - i, j1 - j0)
+        np.multiply(log_mu[i:j, None], ks[j0:j1], out=block)
+        block += log_t[j0:j1]
+        top = block.argmax(axis=1)
+        peak[i:j] = block[np.arange(j - i), top]
+        at[i:j] = top + j0
+        first[i:j] = j0
+        last[i:j] = j1 - 1
+        edges[0, i:j] = block[:, 0]
+        edges[1, i:j] = block[:, -1]
+        block -= peak[i:j, None]
+        np.exp(block, out=block)
+        np.dot(block, ones_r[j0:j1], out=sums[i:j])
+        i = j
+
+    # the lower edge is exact at k = 0; the terms decay past both edges, so
+    # small edge terms bound what each row's window leaves out
+    if k_first == 0:
+        edges[0, first == 0] = -np.inf
+    floor = _LOG_FLOOR + mu
+    clipped = bool((edges.max(axis=0)
+                    > np.maximum(peak + _EDGE_LOG, floor)).any())
+    if not clipped:
+        # g_n's terms, tested against a lower bound of their peak, the term
+        # at Q_n's peak; a row that fails is tested again on its exact peak
+        edges[0] += log_r[first]
+        edges[1] += log_r[last]
+        edge_g = edges.max(axis=0)
+        for row in np.flatnonzero(
+                edge_g > np.maximum(peak + log_r[at] + _EDGE_LOG, floor)):
+            span = slice(first[row], last[row] + 1)
+            peak_g = float(np.max(log_mu[row] * ks[span] + log_t[span]
+                                  + log_r[span]))
+            if edge_g[row] > max(peak_g + _EDGE_LOG, floor[row]):
+                clipped = True
+                break
+    scale = np.exp(peak - mu)
+    return sums[:, 0] * scale, sums[:, 1] * scale, clipped
 
 
 def radial_pair_ncx2(n: int, xs, A: float):
@@ -395,22 +493,26 @@ def radial_pair_ncx2(n: int, xs, A: float):
     y = A^2/2 and weights w_k:
 
         Q_n = sum_k w_k Gbar(m/2, y)
-        g_n = sum_k w_k h_k,
+        g_n = sum_k w_k Gbar(m/2, y) r_k,   r_k = h_k / Gbar(m/2, y),
         h_k = (1/2) [m Gbar(m/2 + 1, y) - 2A c_m Gbar((m+1)/2, y)
                      + A^2 Gbar(m/2, y)],  c_m = sqrt(2) Gamma((m+1)/2)/Gamma(m/2),
 
     where h_k = E[(R - A)^2/2; R > A] for R ~ chi(m); summed over k this is
-    g_n = (1/2)(E[R^2; R>A] - 2A E[R; R>A] + A^2 Q_n).  Both sums run in the
-    log domain (log w_k + log Gbar, log w_k + log h_k), so Q_n keeps its
-    relative accuracy in the deep tail.  No term is dropped for its weight
-    alone: each x sums the window of k where w_k Gbar peaks (see
-    _poisson_window), widened until its edge terms are below e^-40 of the
-    largest.  The Gbar values come from one half-integer chain at y per
-    call (_log_gbar_chain), and the k-only tables (log k!, c_m) from a
-    per-n cache.  Against 40-digit references both values are within
-    1.4e-13 absolute up to A = 40; the subtraction in h_k costs g_n its
-    relative accuracy in the deep tail (2.3e-8 where g_n ~ 1e-125 at
-    A = 25, x = 0; 4e-9 where g_n ~ 1e-90 at A = 40, x = A/2).
+    g_n = (1/2)(E[R^2; R>A] - 2A E[R; R>A] + A^2 Q_n).  Each (x, k) term
+    w_k Gbar(m/2, y) is formed in the log domain and takes one exponential,
+    so Q_n keeps its relative accuracy in the deep tail; g_n reuses it
+    times r_k, a table over k alone.  No term is dropped for its weight
+    alone: each x sums a window of k where the terms peak (see
+    _poisson_window), and the rows of a block share the union of their
+    windows, widened until the edge terms of both sums are below e^-40 of
+    their largest.  The Gbar values come from one half-integer chain at y
+    per call (_log_gbar_chain, shared across calls inside shared_chain()),
+    and the k-only tables (log k!, c_m) from a cache.  Against 40-digit
+    references (35 channels, n = 2..16, A up to 40) Q_n is within 8.8e-14
+    and g_n within 1.4e-13 absolute, and Q_n within 2e-13 relative down
+    to 1e-250; the subtraction in h_k costs g_n its relative accuracy in
+    the deep tail (2.3e-8 where g_n ~ 1e-125 at A = 25, x = 0; 4e-9 where
+    g_n ~ 1e-90 at A = 40, x = A/2).
 
     The chain runs from m = 0 to the top of the last window, about A^2
     terms at x = A, so the cost grows with A^2 whatever the window: above

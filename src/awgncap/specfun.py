@@ -9,7 +9,6 @@ exponentially scaled.  Everything here needs only numpy and math.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -258,16 +257,31 @@ def _stirlerr_small():
 _STIRLERR_SMALL = _stirlerr_small()
 
 
-@lru_cache(maxsize=None)
-def _half_tables(cap: int):
+# tables indexed by the chain's m are kept between calls up to this length;
+# a longer one, which only a large-A closed form asks for (about A^2
+# entries), is built for its call and dropped with it
+KEPT_TABLE_LEN = 1 << 16
+# the longest half-integer tables kept, as (s, base)
+_kept_half_tables = (np.empty(0), np.empty(0))
+
+
+def _half_tables(m_max: int):
     """s = m/2 and the y-free part -stirlerr(s) - log sqrt(2 pi s) of log t_s,
-    for m = 1..cap; read-only, shared by every y."""
+    for m = 1..m_max or further; read-only, shared by every y."""
+    global _kept_half_tables
+    if _kept_half_tables[0].size >= m_max:
+        return _kept_half_tables
+    cap = 1 << max(m_max - 1, 63).bit_length()
+    if cap > KEPT_TABLE_LEN:
+        cap = m_max  # built for this call only
     s = np.arange(1, cap + 1) / 2.0
     small = int(2 * _STIRLING_MAX)
     stirlerr = np.concatenate((_STIRLERR_SMALL[1:cap + 1],
                                _stirlerr_series(s[small:])))
     base = -stirlerr - 0.5 * np.log(2.0 * math.pi * s)
     s.flags.writeable = base.flags.writeable = False
+    if cap <= KEPT_TABLE_LEN:
+        _kept_half_tables = (s, base)
     return s, base
 
 
@@ -295,7 +309,7 @@ def log_poisson_half(y: float, m_max: int):
 
     At even m = 2k this is the Poisson(y) log-probability of k.
     """
-    s, base = _half_tables(1 << max(m_max - 1, 63).bit_length())
+    s, base = _half_tables(m_max)
     s = s[:m_max]
     out = np.empty(m_max + 1)
     out[0] = -y

@@ -264,6 +264,8 @@ def _minmax_conjectured(n: int, A: float) -> tuple[float, float]:
     return min(cands, key=lambda t: t[0])
 
 
+# the grid call and the refinement share one Gbar chain
+@radial.shared_chain()
 def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
     """min over beta of max over x of D_n(beta, x) on the closed-form grid.
 

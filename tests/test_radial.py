@@ -1,12 +1,13 @@
 """Radial-integral tests: closed forms vs independent quadratures."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
-from awgncap import oracles, radial, specfun
+from awgncap import cli, oracles, radial, specfun
 from awgncap.radial import RadialFunctions
 
 
@@ -460,6 +461,189 @@ class TestClosedFormNcx2:
             q1, g1 = radial.radial_pair_ncx2(4, [x], 6.0)
             assert (q1[0], g1[0]) == pytest.approx((q, g), rel=1e-14,
                                                    abs=1e-300)
+
+
+def _reference_ncx2_sums(n, xs, A, lo, hi):
+    """radial_pair_ncx2's Poisson sums term by term, as an independent
+    reference for radial._ncx2_sums on the same windows.
+
+    Each row sums [lo, lo + width) with width the widest window of its
+    block, gathers both tables per entry and takes one exponential per
+    table in the log domain, each sum shifted by its own peak; each row's
+    edge terms of both sums are tested against that sum's peak times
+    e^_EDGE_LOG or the floor.  Returns (Q, G, clipped).
+    """
+    width = int((hi - lo).max()) + 1
+    k_first = int(lo.min())
+    k_last = int(lo.max()) + width
+    a = 0.5 * n + np.arange(k_first, k_last + 1)
+    m_first, m_last = n + 2 * k_first, n + 2 * k_last
+    log_gq = specfun.log_gamma_q_half(0.5 * A * A, m_last)
+    gq = np.exp(log_gq[m_first:m_last + 1:2])
+    gh = np.exp(log_gq[m_first + 1:m_last:2])
+    log_fact = specfun.log_factorial(np.arange(k_first, k_last))
+    c = math.sqrt(2.0) * np.exp(radial._log_gamma_ratio_half(a[:-1]))
+    h = 0.5 * (2.0 * a[:-1] * gq[1:] - 2.0 * A * c * gh + A * A * gq[:-1])
+    with np.errstate(divide="ignore"):
+        tables = (log_gq[m_first:m_last:2] - log_fact,
+                  np.log(np.maximum(h, 0.0)) - log_fact)
+    Q = np.empty(xs.size)
+    G = np.empty(xs.size)
+    clipped = False
+    step = max(1, radial._BLOCK_ENTRIES // width)
+    for i in range(0, xs.size, step):
+        rows = slice(i, i + step)
+        start = lo[rows]
+        offsets = np.arange(int((hi[rows] - start).max()) + 1)
+        mu = 0.5 * np.square(xs[rows])
+        log_mu = np.log(np.maximum(mu, np.finfo(float).tiny))[:, None]
+        idx = offsets + (start - k_first)[:, None]
+        k_log_mu = offsets + start[:, None].astype(float)
+        k_log_mu *= log_mu
+        open_below = start > 0
+        floor = radial._LOG_FLOOR + mu
+        for out, table in zip((Q, G), tables):
+            log_t = table[idx]
+            log_t += k_log_mu
+            peak = log_t.max(axis=1)
+            edge = np.maximum(np.where(open_below, log_t[:, 0], -np.inf),
+                              log_t[:, -1])
+            limit = np.maximum(peak + radial._EDGE_LOG, floor)
+            clipped |= bool((edge > limit).any())
+            shift = np.where(np.isfinite(peak), peak, 0.0)
+            log_t -= shift[:, None]
+            np.exp(log_t, out=log_t)
+            out[rows] = log_t.sum(axis=1) * np.exp(shift - mu)
+    return Q, G, clipped
+
+
+REFERENCE_SNR_DB = [-10.0, -5.0, 5.0, 15.0, 25.0, 30.0, 40.0]
+
+
+class TestNcx2SumsReference:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 16])
+    def test_matches_per_row_reference(self, n):
+        for snr_db in REFERENCE_SNR_DB:
+            A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+            xs = np.linspace(0.0, A, 513)
+            lo, hi = radial._poisson_window(n, xs, A, radial._WINDOW_SIGMAS)
+            Q, G, clipped = radial._ncx2_sums(n, xs, A, lo, hi)
+            Qr, Gr, clipped_r = _reference_ncx2_sums(n, xs, A, lo, hi)
+            where = (n, snr_db)
+            assert clipped == clipped_r, where
+            tail = Qr >= 1e-250
+            assert np.all(np.abs(Q - Qr)[tail] <= 1e-13 * Qr[tail]), where
+            assert np.all(np.abs(G - Gr) <= 1e-12 * Gr + 1e-300), where
+
+    def test_g_edge_is_tested(self):
+        # above the peaks r_k grows with k, so g_n's terms decay more slowly
+        # than Q_n's: plant an upper cut that passes Q_n's edge test alone
+        n, A = 3, 25.0
+        xs = np.array([A])
+        lo, _ = radial._poisson_window(n, xs, A, radial._WINDOW_SIGMAS)
+        k_end = 2000
+        log_q, log_g = _reference_log_terms(n, A, A, k_end)
+        k = np.arange(k_end)
+        q_cut = k[(k > log_q.argmax()) & (log_q < log_q.max() - 40.0)][0]
+        g_cut = k[(k > log_g.argmax()) & (log_g < log_g.max() - 40.0)][0]
+        assert q_cut < g_cut
+        for hi, want in ((q_cut, True), (g_cut - 1, True), (g_cut, False)):
+            hi = np.array([hi])
+            assert radial._ncx2_sums(n, xs, A, lo, hi)[2] is want, hi
+            assert _reference_ncx2_sums(n, xs, A, lo, hi)[2] is want, hi
+
+    def test_g_edge_meets_the_exact_peak(self):
+        # g_n's peak term sits a little above Q_n's; plant an upper cut
+        # within e^-40 of the first, by more than e^-40 below the second
+        n, A = 2, 2.0
+        k_end = 100
+        log_q, log_g = _reference_log_terms(n, A, A, k_end)
+        top = log_q.argmax()
+        k = np.arange(k_end)
+        cut = k[(k > top) & (log_q <= log_q.max() - 40.0)
+                & (log_g > log_g[top] - 40.0)
+                & (log_g <= log_g.max() - 40.0)]
+        assert cut.size == 1
+        lo, hi = np.array([0]), cut
+        assert radial._ncx2_sums(n, np.array([A]), A, lo, hi)[2] is False
+        assert _reference_ncx2_sums(n, np.array([A]), A, lo, hi)[2] is False
+
+
+def _reference_log_terms(n, A, x, k_end):
+    """log of Q_n's and g_n's Poisson terms at x for k = 0..k_end - 1, up to
+    the common factor e^{-x^2/2}."""
+    k = np.arange(k_end)
+    a = 0.5 * n + np.arange(k_end + 1)
+    log_gq = specfun.log_gamma_q_half(0.5 * A * A, n + 2 * k_end)
+    gq = np.exp(log_gq[n::2])
+    gh = np.exp(log_gq[n + 1::2])
+    c = math.sqrt(2.0) * np.exp(radial._log_gamma_ratio_half(a[:-1]))
+    h = 0.5 * (2.0 * a[:-1] * gq[1:] - 2.0 * A * c * gh[:k_end]
+               + A * A * gq[:-1])
+    base = k * math.log(0.5 * x * x) - specfun.log_factorial(k)
+    with np.errstate(divide="ignore"):
+        return (log_gq[n:n + 2 * k_end:2] + base,
+                np.log(np.maximum(h, 0.0)) + base)
+
+
+# dimensions and SNRs over which the first Poisson window must hold
+WINDOW_DIMS = [2, 3, 4, 5, 6, 7, 8, 16, 64]
+WINDOW_SNR_DB = np.arange(-10.0, 40.0 + 1e-9, 2.5)
+
+
+class TestNcx2Window:
+    def test_first_window_is_accepted(self):
+        # the fitted window is the first guess only (a clipped one is
+        # widened), but a widening repeats the whole grid: name where it does
+        widened = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in WINDOW_DIMS:
+                for snr_db in WINDOW_SNR_DB:
+                    A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+                    xs = np.linspace(0.0, A, 513)
+                    lo, hi = radial._poisson_window(
+                        n, xs, A, radial._WINDOW_SIGMAS)
+                    if radial._ncx2_sums(n, xs, A, lo, hi)[2]:
+                        widened.append((n, float(snr_db)))
+        assert widened == []
+
+    def test_verified_grids_warn_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n in (2, 5, 16):
+                for snr_db in (-10.0, 15.0, 40.0):
+                    P = 10.0 ** (snr_db / 10.0)
+                    pt = cli.compute_bound("minmax_verified", n, P)
+                    assert math.isfinite(pt.rate_bits)
+
+
+class TestNcx2Caches:
+    def test_retained_tables_are_bounded(self):
+        # at n = 5, 60 dB (A = 2,236) one minmax_verified builds a chain of
+        # about A^2 = 5e6 terms and tables as long; afterwards the chain is
+        # gone, and the kept tables (m up to specfun.KEPT_TABLE_LEN: s and
+        # the y-free base, c_m, and log k! for half as many k) hold at most
+        # 3.5 KEPT_TABLE_LEN float64 values, 1.75 MiB
+        cli.compute_bound("minmax_verified", 5, 1e6)
+        assert radial._chain_scope is None
+        kept = (*specfun._kept_half_tables, *radial._kept_k_tables)
+        total = sum(a.nbytes for a in kept)
+        assert 0 < total <= 3.5 * specfun.KEPT_TABLE_LEN * 8
+
+    def test_grid_and_refinement_share_one_chain(self, monkeypatch):
+        chains = []
+        build = specfun.log_gamma_q_half
+
+        def counted(y, m_max):
+            chains.append(y)
+            return build(y, m_max)
+
+        monkeypatch.setattr(specfun, "log_gamma_q_half", counted)
+        cli.compute_bound("minmax_verified", 3, 100.0)
+        assert len(chains) == 1
+        cli.compute_bound("minmax_verified", 3, 100.0)
+        assert len(chains) == 2  # nothing outlives the call
 
 
 class TestQuadratureError:
