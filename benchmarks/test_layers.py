@@ -23,6 +23,9 @@ two endpoint pairs before and after they came from the closed form between
 A*_n and its cap, and BENCH_ncx2.json those of the verified min-max query,
 the closed-form grid, its refinement and the endpoint pairs before and
 after the closed form's sums took one exponential per entry.
+BENCH_hull.json holds in-process, interleaved timings of the verified
+route's search over beta reading all 513 grid points and reading only the
+grid's upper-hull vertices.
 """
 
 from __future__ import annotations
@@ -131,12 +134,32 @@ def test_radial_pair_ncx2_refine(benchmark, n, snr_db):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_minmax_verified_query(benchmark, n, snr_db):
     # one verified min-max query as the verified_nd stream asks it, from a
-    # cold chain: the closed-form grid, the golden-section search over beta
-    # and the refinement, so the search's share shows beside the sums
+    # cold chain: the closed-form grid and its refinement (timed alone
+    # above) and the search over beta (timed alone below)
     P = 10.0 ** (snr_db / 10.0)
     pt = benchmark.pedantic(cli.compute_bound, ("minmax_verified", n, P),
                             setup=_forget_last_chain, rounds=30)
     assert pt.valid and pt.rate_bits > 0.0
+
+
+@pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_minmax_verified_beta_search(benchmark, monkeypatch, n, snr_db):
+    # the verified route without its sums: the golden-section search over
+    # beta, the grid maximum at the chosen beta and the refinement's, on
+    # grid and refinement values computed once beforehand
+    A = radial.ChannelConfig.from_snr_db(n, snr_db).A
+    real, memo = radial.radial_pair_ncx2, {}
+
+    def precomputed(n_, xs, A_):
+        key = np.asarray(xs, dtype=float).tobytes()
+        if key not in memo:
+            memo[key] = real(n_, xs, A_)
+        return memo[key]
+
+    monkeypatch.setattr(radial, "radial_pair_ncx2", precomputed)
+    want = upper_bounds._minmax_verified(n, A)
+    assert benchmark(upper_bounds._minmax_verified, n, A) == want
 
 
 # 10..30 dB lie between A*_n and the closed form's cap for n = 2..5; 50 and

@@ -264,6 +264,27 @@ def _minmax_conjectured(n: int, A: float) -> tuple[float, float]:
     return min(cands, key=lambda t: t[0])
 
 
+def _upper_hull(Q: np.ndarray, G: np.ndarray) -> list[int]:
+    """Sorted indices of the upper hull of the points (Q[i], G[i]), Q sorted.
+
+    Quickhull over index ranges: a range's vertex is its point farthest
+    above the chord of its ends (cross product > 0), so collinear and
+    coincident points are left out.  D_n(beta, .) is affine in (Q_n, g_n):
+    its maximum over the points is attained at a vertex.
+    """
+    keep, spans = [0, len(Q) - 1], [(0, len(Q) - 1)]
+    for a, b in spans:  # a vertex appends its two sub-ranges
+        if b - a < 2:
+            continue
+        cross = ((Q[b] - Q[a]) * (G[a + 1:b] - G[a])
+                 - (G[b] - G[a]) * (Q[a + 1:b] - Q[a]))
+        k = int(np.argmax(cross))
+        if cross[k] > 0.0:
+            keep.append(a + 1 + k)
+            spans += [(a, a + 1 + k), (a + 1 + k, b)]
+    return sorted(keep)
+
+
 # the grid call and the refinement share one Gbar chain
 @radial.shared_chain()
 def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
@@ -271,19 +292,22 @@ def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
 
     Golden-section over beta on (0, 1) minimizes the maximum over 513 x
     values: every beta gives an upper bound, so the search needs only the
-    grid.  At the chosen beta, one 17-point closed-form call across the two
-    cells next to the grid argmax refines the maximum, which can only raise
-    it; it assumes no unimodality there.  Returns the value, its beta and
-    the interior excess: how far that maximum exceeds the larger endpoint
-    value.
+    grid; it reads that maximum at the grid's upper-hull vertices in
+    (Q_n, g_n), in the grid's operation order (usually the two endpoints).
+    At the chosen beta, one 17-point closed-form call across the two cells
+    next to the argmax of all 513 points refines the maximum, which can
+    only raise it; it assumes no unimodality there.  Returns the value, its
+    beta and the interior excess: how far that maximum exceeds the larger
+    endpoint value.
     """
     xs = np.linspace(0.0, A, _X_GRID_POINTS)
     Q, G = radial.radial_pair_ncx2(n, xs, A)
     terms = _dn_terms(n, A)
+    hull = [(float(Q[i]), float(G[i])) for i in _upper_hull(Q, G)]
 
     def grid_max(beta):
         first, coeff = terms(beta)
-        return float(np.max(first + coeff * Q + G))
+        return max([first + coeff * q + g for q, g in hull])
 
     beta_v, _ = _golden_min(grid_max, 1e-6, 1.0 - 1e-6, tol=1e-8)
     first, coeff = terms(beta_v)
@@ -292,7 +316,7 @@ def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
     lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
     q, g = radial.radial_pair_ncx2(n, np.linspace(lo, hi, _REFINE_POINTS), A)
     val_v = max(float(vals[i]), float(np.max(first + coeff * q + g)))
-    return val_v, beta_v, val_v - max(vals[0], vals[-1])
+    return val_v, beta_v, float(val_v - max(vals[0], vals[-1]))
 
 
 def minmax_dual_detail(n: int, A: float) -> MinmaxDetail:
@@ -301,9 +325,10 @@ def minmax_dual_detail(n: int, A: float) -> MinmaxDetail:
     The conjectured route assumes the max over x sits at an endpoint and
     uses the three-candidate closed evaluation.  The verified route runs
     golden-section over beta on (0, 1) against the maximum over a 513-point
-    x grid (radial values in closed form), refines that maximum with one
-    17-point closed-form call across the argmax's two cells at the beta it
-    chose, and records whether an interior x beat the endpoints there.
+    x grid (radial values in closed form, read at its upper-hull vertices),
+    refines the whole grid's maximum with one 17-point closed-form call
+    across the argmax's two cells at the beta it chose, and records whether
+    an interior x beat the endpoints there.
     """
     conj_val, conj_beta = _minmax_conjectured(n, A)
     val_v, beta_v, excess = _minmax_verified(n, A)

@@ -251,6 +251,103 @@ class TestBetaStar:
         assert f"n={n}, A={A!r} ({snr_db:g} dB)" in str(info.value)
 
 
+@radial.shared_chain()
+def _full_grid_minmax_verified(n, A):
+    """upper_bounds._minmax_verified with the golden-section search reading
+    all 513 grid points at each beta, kept as the reference for its
+    upper-hull search.  Returns (value, beta, interior excess).
+    """
+    xs = np.linspace(0.0, A, upper_bounds._X_GRID_POINTS)
+    Q, G = radial.radial_pair_ncx2(n, xs, A)
+    terms = upper_bounds._dn_terms(n, A)
+
+    def grid_max(beta):
+        first, coeff = terms(beta)
+        return float(np.max(first + coeff * Q + G))
+
+    beta, _ = upper_bounds._golden_min(grid_max, 1e-6, 1.0 - 1e-6, tol=1e-8)
+    first, coeff = terms(beta)
+    vals = first + coeff * Q + G
+    i = int(np.argmax(vals))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    q, g = radial.radial_pair_ncx2(
+        n, np.linspace(lo, hi, upper_bounds._REFINE_POINTS), A)
+    val = max(float(vals[i]), float(np.max(first + coeff * q + g)))
+    return val, beta, float(val - max(vals[0], vals[-1]))
+
+
+class TestUpperHull:
+    def test_convex_points_keep_only_the_ends(self):
+        Q = np.linspace(0.0, 1.0, 33)
+        assert upper_bounds._upper_hull(Q, Q ** 2) == [0, 32]
+
+    def test_concave_points_are_all_vertices(self):
+        Q = np.linspace(0.0, 1.0, 33)
+        assert upper_bounds._upper_hull(Q, np.sqrt(Q)) == list(range(33))
+
+    def test_collinear_points_keep_only_the_ends(self):
+        Q = np.arange(17.0)
+        assert upper_bounds._upper_hull(Q, 3.0 * Q - 2.0) == [0, 16]
+
+    def test_coincident_points_at_zero(self):
+        # as on the n = 5, 25 dB grids: Q_0 = Q_1 = G_0 = G_1 = 0
+        Q = np.array([0.0, 0.0, 0.0, 0.25, 0.5, 1.0])
+        G = np.array([0.0, 0.0, 0.0, 0.05, 0.2, 0.5])
+        assert upper_bounds._upper_hull(Q, G) == [0, 5]
+        G[3] = 0.3
+        assert upper_bounds._upper_hull(Q, G) == [0, 3, 5]
+
+    def test_vertex_maxima_are_point_maxima(self):
+        # small integer point sets with ties and coincident points: any
+        # c Q + G has the same maximum over the vertices as over the points,
+        # and each inner vertex lies strictly above its neighbours' chord
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            Q = np.sort(rng.integers(0, 6, 12).astype(float))
+            G = rng.integers(0, 6, 12).astype(float)
+            hull = upper_bounds._upper_hull(Q, G)
+            for c in np.linspace(-8.0, 8.0, 161):
+                assert np.max(c * Q + G) == np.max(c * Q[hull] + G[hull])
+            for a, v, b in zip(hull, hull[1:], hull[2:]):
+                assert ((Q[b] - Q[a]) * (G[v] - G[a])
+                        > (G[b] - G[a]) * (Q[v] - Q[a])), (Q, G, hull)
+
+
+class TestMinmaxHullSearch:
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 8, 16))
+    def test_matches_full_grid_search(self, n):
+        # the hull only steers the search; its values at the vertices carry
+        # the grid's own bits, so beta, value and excess are the same floats
+        for snr_db in np.arange(-10.0, 40.1, 5.0):
+            A = ChannelConfig.from_snr_db(n, float(snr_db)).A
+            assert (upper_bounds._minmax_verified(n, A)
+                    == _full_grid_minmax_verified(n, A)), (n, snr_db)
+
+    @pytest.mark.parametrize("n, snr_db", ((2, 10.0), (4, 20.0)))
+    def test_planted_bump_on_grid_points_is_a_vertex(self, n, snr_db,
+                                                     monkeypatch):
+        # a bump in g_n a few grid steps wide, centred on a grid point: it
+        # rises above the endpoints' chord, so it must become a hull vertex
+        # and move the search's beta and value as it moves the full-grid
+        # search's
+        A = ChannelConfig.from_snr_db(n, snr_db).A
+        xs = np.linspace(0.0, A, 513)
+        centre, width = xs[300], 4.0 * xs[1]
+        real = radial.radial_pair_ncx2
+
+        def bumped(n_, x, A_):
+            q, g = real(n_, x, A_)
+            x = np.asarray(x, dtype=float)
+            return q, g + 0.05 * np.exp(-0.5 * ((x - centre) / width) ** 2)
+
+        before = upper_bounds._minmax_verified(n, A)
+        monkeypatch.setattr(radial, "radial_pair_ncx2", bumped)
+        assert 300 in upper_bounds._upper_hull(*bumped(n, xs, A))
+        after = upper_bounds._minmax_verified(n, A)
+        assert after == _full_grid_minmax_verified(n, A)
+        assert after[1] != before[1] and after[0] > before[0]
+
+
 class TestMinmax:
     def test_below_other_dual_bounds_on_sweep(self):
         # both the McKellips-type closed form (peak branch) and the refined
@@ -286,6 +383,13 @@ class TestMinmax:
         det = minmax_dual_detail(1, 2.0)
         assert det.verified_nats == pytest.approx(det.conjectured_nats,
                                                   abs=1e-9)
+
+    def test_detail_fields_are_python_floats(self):
+        det = minmax_dual_detail(3, 2.0)
+        for name in ("A", "conjectured_nats", "verified_nats",
+                     "beta_conjectured", "beta_verified", "interior_excess"):
+            assert type(getattr(det, name)) is float, name
+        assert "np.float64" not in repr(det)
 
     def test_verified_over_wide_domain(self):
         # the verified route reads only closed-form radial values, so it
