@@ -25,7 +25,9 @@ the closed-form grid, its refinement and the endpoint pairs before and
 after the closed form's sums took one exponential per entry.
 BENCH_hull.json holds in-process, interleaved timings of the verified
 route's search over beta reading all 513 grid points and reading only the
-grid's upper-hull vertices.
+grid's upper-hull vertices.  BENCH_joint.json holds in-process, interleaved
+timings of the two one-point closed-form calls the endpoint pairs of one
+channel took before against the one two-point call they take now.
 """
 
 from __future__ import annotations
@@ -134,11 +136,12 @@ def test_radial_pair_ncx2_refine(benchmark, n, snr_db):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_minmax_verified_query(benchmark, n, snr_db):
     # one verified min-max query as the verified_nd stream asks it, from a
-    # cold chain: the closed-form grid and its refinement (timed alone
-    # above) and the search over beta (timed alone below)
+    # cold chain and a cold k_n memo: the closed-form grid and its
+    # refinement (timed alone above) and the search over beta (timed alone
+    # below)
     P = 10.0 ** (snr_db / 10.0)
     pt = benchmark.pedantic(cli.compute_bound, ("minmax_verified", n, P),
-                            setup=_forget_last_chain, rounds=30)
+                            setup=_forget_endpoint_pairs, rounds=30)
     assert pt.valid and pt.rate_bits > 0.0
 
 
@@ -169,7 +172,7 @@ ENDPOINT_CHANNELS = ([(n, s) for n in (2, 3, 4, 5) for s in (10.0, 20.0, 30.0)]
 
 
 def _forget_endpoint_pairs():
-    radial._endpoint_pair.cache_clear()
+    radial._forget_endpoint_memos()
     _forget_last_chain()
 
 
@@ -192,9 +195,11 @@ def test_endpoint_pairs(benchmark, n, snr_db):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_amplitude_threshold(benchmark, n):
-    # the refined bound's threshold A*_n from a cleared cache, as a fresh
-    # process computes it at set-up
+    # the refined bound's threshold A*_n from cleared caches (its own and
+    # k_n_closed's, which its bisection reads), as a fresh process computes
+    # it at set-up
     def fresh():
+        radial._forget_endpoint_memos()
         upper_bounds.amplitude_threshold.cache_clear()
         return upper_bounds.amplitude_threshold(n)
 

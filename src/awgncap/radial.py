@@ -122,12 +122,14 @@ def log_vol_ball(n: int, r: float) -> float:
     return 0.5 * n * math.log(math.pi) + n * math.log(r) - math.lgamma(0.5 * n + 1.0)
 
 
+@lru_cache(maxsize=64, typed=True)
 def k_n_closed(n: int, A: float) -> float:
     """Shell normalizer k_n(A) in closed form.
 
     k_n(A) = sum_{i=0}^{n-1} C(n-1, i) Gamma((n-i)/2) / (2^{i/2} Gamma(n/2)) A^i,
     the constant that normalizes the split-and-scaled Gaussian shell density
     outside the ball of radius A.  k_1 = 1 and k_2 = 1 + sqrt(pi/2) A.
+    Memoized per argument type: a hit gives the bits a fresh call would.
     """
     ChannelConfig(n, A)
     total = 0.0
@@ -634,15 +636,34 @@ def _endpoint_route(n: int, A: float):
 @lru_cache(maxsize=64)
 def _endpoint_pair(n: int, A: float, x: float) -> tuple[float, float]:
     """(Q_n(x, A), g_n(x, A)) from _endpoint_route(n, A), memoized for
-    RadialFunctions.pair.
+    RadialFunctions.pair; where that is radial_pair_ncx2, x = 0 and x = A
+    read the one entry of _closed_endpoints(n, A).
 
     Both routes are deterministic, so a hit returns the bits a fresh
     evaluation would.  The endpoint bounds at one (n, A) read two entries,
     one after the other, so a small bound loses no sharing and keeps the
     memo from growing over a long stream of queries.
     """
-    Q, G = _endpoint_route(n, A)(n, [x], A)
+    route = _endpoint_route(n, A)
+    if route is radial_pair_ncx2 and x in (0.0, A):
+        return _closed_endpoints(n, A)[x == A]
+    Q, G = route(n, [x], A)
     return float(Q[0]), float(G[0])
+
+
+@lru_cache(maxsize=32)
+def _closed_endpoints(n: int, A: float):
+    """The closed-form pairs at x = 0 and x = A, from one two-point call:
+    both share its Gbar chain, window tables and k-tables."""
+    Q, G = radial_pair_ncx2(n, [0.0, A], A)
+    return (float(Q[0]), float(G[0])), (float(Q[1]), float(G[1]))
+
+
+def _forget_endpoint_memos():
+    """Empty _endpoint_pair, _closed_endpoints and k_n_closed, for tests and
+    benchmarks that count or time cold evaluations."""
+    for memo in (_endpoint_pair, _closed_endpoints, k_n_closed):
+        memo.cache_clear()
 
 
 class RadialFunctions:
@@ -651,23 +672,23 @@ class RadialFunctions:
     pair(x) feeds the endpoint bounds: refined, beta*, minmax_conjectured
     and d_n.  Its values come from one of three regimes (_endpoint_route):
 
-    - below A*_n, the panel rule radial_pair_grid, bit for bit.  There
-      refined and minmax_conjectured are algebraically equal when the worst
-      case sits at x = A, so rounding alone picks the envelope's achiever;
-      these values stay bit-identical until the benchmark's achiever check
-      (perfbench/check.py) is tie-aware;
+    - below A*_n, the panel rule radial_pair_grid, bit for bit, one call
+      per x read.  There refined and minmax_conjectured are algebraically
+      equal when the worst case sits at x = A, so rounding alone picks the
+      envelope's achiever; these values stay bit-identical until the
+      benchmark's achiever check (perfbench/check.py) is tie-aware;
     - from A*_n up to ENDPOINT_NCX2_MAX_AMPLITUDE, the closed form
-      radial_pair_ncx2.  There refined is no candidate, and the two lowest
-      of the others (avg_power, mckellips, minmax_conjectured) stay at
-      least 0.35 % apart (n = 2..8, 0.25 dB grid), so no achiever hangs on
-      the last bits;
+      radial_pair_ncx2, one two-point call for x = 0 and x = A.  There
+      refined is no candidate, and the two lowest of the others (avg_power,
+      mckellips, minmax_conjectured) stay at least 0.35 % apart (n = 2..8,
+      0.25 dB grid), so no achiever hangs on the last bits;
     - above that amplitude, and wherever A*_n is not found, the panel rule
-      again: the closed form's Gbar chain grows with A^2.
+      again, per x: the closed form's Gbar chain grows with A^2.
 
     n = 1 reads the Gaussian-tail closed form of radial_pair_grid.  Lookups
     go through the module-wide memo _endpoint_pair, so the endpoint bounds
-    at one (n, A) share two evaluations, whichever instances they build.
-    The memo is idempotent, so concurrent readers and redundant concurrent
+    at one (n, A) share their evaluations, whichever instances they build.
+    The memos are idempotent, so concurrent readers and redundant concurrent
     writes are safe.  The verified min-max route reads radial_pair_ncx2 on
     its x grid directly.
     """

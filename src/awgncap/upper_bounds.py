@@ -90,19 +90,22 @@ def refined_1d(P: float) -> BoundPoint:
 def _dn_terms(n: int, A: float):
     """D_n's beta-dependent terms at one channel, as a function of beta.
 
-    log k_n(A) and log Vol(A) are computed once; the returned function maps
+    log k_n(A), log Vol(A) and the beta-free leading sums (each summed left
+    to right, as in full) are computed once; the returned function maps
     beta in (0, 1) to (offset, coefficient of Q_n) in nats, so that
     D_n(beta, x) = offset + coefficient * Q_n(x, A) + g_n(x, A).
     """
     lk = math.log(radial.k_n_closed(n, A))  # checks the channel first
     lv = radial.log_vol_ball(n, A)
+    first_head = lv - 0.5 * n * LN_2PIE
+    coeff_head = 0.5 * n * LN_2PI + lk
 
     def terms(beta: float) -> tuple[float, float]:
         if not 0.0 < beta < 1.0:
             raise ValueError(f"beta must lie in (0, 1), got {beta}")
-        first = lv - 0.5 * n * LN_2PIE - math.log(beta)
-        coeff = 0.5 * n * LN_2PI + lk + math.log(beta) - math.log(1.0 - beta) - lv
-        return first, coeff
+        log_beta = math.log(beta)
+        return (first_head - log_beta,
+                coeff_head + log_beta - math.log(1.0 - beta) - lv)
 
     return terms
 

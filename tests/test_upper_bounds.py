@@ -550,32 +550,59 @@ _ENDPOINT_IDS = ("envelope", "refined", "minmax_conjectured")
 class TestEndpointPairs:
     """The endpoint bounds read Q_n, g_n at x = 0 and x = A only."""
 
+    @staticmethod
+    def _count_calls(monkeypatch, fn):
+        """fn()'s result and the calls it made to both radial pair
+        functions, as (name, x values) in call order."""
+        calls = []
+        with monkeypatch.context() as m:
+            for name in ("radial_pair_grid", "radial_pair_ncx2"):
+                def counting(n_, x, A, *args, _name=name,
+                             _real=getattr(radial, name), **kwargs):
+                    calls.append((_name, np.atleast_1d(x).tolist()))
+                    return _real(n_, x, A, *args, **kwargs)
+
+                m.setattr(radial, name, counting)
+            return fn(), calls
+
     def test_three_bounds_share_two_radial_evaluations(self, monkeypatch):
-        # one channel per route: below A*_3 = 3.65 (panel rule), between
-        # A*_3 and the closed form's cap (radial_pair_ncx2), above the cap
-        # at A = 112 (panel rule)
+        # one channel per route: below A*_3 = 3.65 (panel rule, one call
+        # per endpoint), between A*_3 and the closed form's cap
+        # (radial_pair_ncx2, one call for both endpoints), above the cap at
+        # A = 112 (panel rule)
         channels = [(3, 10.0 ** 0.2, "radial_pair_grid"),
                     (3, 10.0 ** 0.8, "radial_pair_ncx2"),
                     (2, 10.0 ** 3.8, "radial_pair_grid")]
         for n, P, route in channels:
+            A = math.sqrt(n * P)
             cold = {}
             for b in _ENDPOINT_IDS:
-                radial._endpoint_pair.cache_clear()
+                radial._forget_endpoint_memos()
                 cold[b] = cli.compute_bound(b, n, P)
-            calls = []
-            with monkeypatch.context() as m:
-                for name in ("radial_pair_grid", "radial_pair_ncx2"):
-                    def counting(n_, x, A, *args, _name=name,
-                                 _real=getattr(radial, name), **kwargs):
-                        calls.extend((_name, v)
-                                     for v in np.atleast_1d(x).tolist())
-                        return _real(n_, x, A, *args, **kwargs)
-
-                    m.setattr(radial, name, counting)
-                radial._endpoint_pair.cache_clear()
-                warm = {b: cli.compute_bound(b, n, P) for b in _ENDPOINT_IDS}
-            assert sorted(calls) == [(route, 0.0), (route, math.sqrt(n * P))]
+            radial._forget_endpoint_memos()
+            warm, calls = self._count_calls(monkeypatch, lambda: {
+                b: cli.compute_bound(b, n, P) for b in _ENDPOINT_IDS})
+            if route == "radial_pair_ncx2":
+                assert calls == [(route, [0.0, A])]
+            else:
+                assert sorted(calls) == [(route, [0.0]), (route, [A])]
             assert warm == cold
+
+    @pytest.mark.parametrize("n, P, want", [
+        (3, 10.0 ** 0.2, "radial_pair_grid"),   # below A*_3
+        (3, 10.0 ** 0.8, "radial_pair_ncx2"),   # between A*_3 and the cap
+        (2, 10.0 ** 3.8, "radial_pair_grid"),   # above the cap
+    ])
+    def test_refined_query_makes_one_radial_call(self, monkeypatch, n, P,
+                                                 want):
+        # a refined query reads x = A alone: the panel rule evaluates that
+        # one point and no x = 0, the closed form both in its one call
+        A = math.sqrt(n * P)
+        radial._forget_endpoint_memos()
+        _, calls = self._count_calls(
+            monkeypatch, lambda: cli.compute_bound("refined", n, P))
+        xs = [0.0, A] if want == "radial_pair_ncx2" else [A]
+        assert calls == [(want, xs)]
 
     @pytest.mark.parametrize("bound_id", _ENDPOINT_IDS)
     def test_probability_outside_unit_interval_raises(self, bound_id):
@@ -591,6 +618,11 @@ class TestEndpointRoute:
 
     @staticmethod
     def _pair_bits(route, n, A):
+        # the closed form serves both endpoints from one two-point call, the
+        # panel rule each from a one-point call
+        if route is radial.radial_pair_ncx2:
+            Q, G = route(n, [0.0, A], A)
+            return list(zip(Q.tolist(), G.tolist()))
         return [tuple(float(v[0]) for v in route(n, [x], A)) for x in (0.0, A)]
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -607,7 +639,7 @@ class TestEndpointRoute:
             A = ChannelConfig.from_snr(n, P).A
             route = (radial.radial_pair_ncx2 if closed
                      else radial.radial_pair_grid)
-            radial._endpoint_pair.cache_clear()
+            radial._forget_endpoint_memos()
             rf = radial.RadialFunctions(n, A)
             assert [rf.pair(0.0), rf.pair(A)] == self._pair_bits(route, n, A)
             valid = refined_nd(n, P).valid
@@ -623,7 +655,7 @@ class TestEndpointRoute:
             A = ChannelConfig.from_snr(n, 10.0).A
             with pytest.raises(RuntimeError, match="threshold bracket"):
                 refined_nd(n, 10.0)
-            radial._endpoint_pair.cache_clear()
+            radial._forget_endpoint_memos()
             rf = radial.RadialFunctions(n, A)
             assert [rf.pair(0.0), rf.pair(A)] == self._pair_bits(
                 radial.radial_pair_grid, n, A)
@@ -652,3 +684,34 @@ class TestEndpointRoute:
                 count += 1
         assert count == 696
         assert worst > 1e-6
+
+    def test_joint_call_agrees_with_one_point_calls(self):
+        # where both endpoint pairs come from one two-point closed-form call,
+        # its x = 0 values are the one-point call's bits and its x = A values
+        # lie within 16 ulps of it (at most 10 in Q_n and 13 in g_n, at
+        # n = 2, 36.25 dB): the x = A row sums over the joint window, which
+        # starts at k = 0, so the dot product groups its terms differently.
+        # On the same channels k_n_closed's memo gives the unmemoized bits,
+        # per argument type
+        cap = radial.ENDPOINT_NCX2_MAX_AMPLITUDE
+        count = 0
+        for n in range(2, 9):
+            lo = math.floor(40.0 * math.log10(amplitude_threshold(n) ** 2 / n))
+            hi = math.ceil(40.0 * math.log10(cap * cap / n))
+            for k in range(lo, hi + 1):
+                A = ChannelConfig.from_snr(n, 10.0 ** (k / 40.0)).A
+                if A < amplitude_threshold(n) or A > cap:
+                    continue
+                joint = np.array(radial.radial_pair_ncx2(n, [0.0, A], A)).T
+                origin = np.array(radial.radial_pair_ncx2(n, [0.0], A)).T[0]
+                edge = np.array(radial.radial_pair_ncx2(n, [A], A)).T[0]
+                assert joint[0].tolist() == origin.tolist(), (n, k)
+                assert np.all(np.abs(joint[1] - edge)
+                              <= 16.0 * np.spacing(edge)), (n, k)
+                radial._forget_endpoint_memos()
+                for arg in (A, np.float64(A), A, np.float64(A)):
+                    got = radial.k_n_closed(n, arg)
+                    want = radial.k_n_closed.__wrapped__(n, arg)
+                    assert (type(got), got) == (type(want), want), (n, k)
+                count += 1
+        assert count == 696
