@@ -28,11 +28,12 @@ route's search over beta reading all 513 grid points and reading only the
 grid's upper-hull vertices.  BENCH_joint.json holds in-process, interleaved
 timings of the two one-point closed-form calls the endpoint pairs of one
 channel took before against the one two-point call they take now.
+BENCH_onecall.json holds the verified route's query timed by ab.py (in
+process, interleaved, against a base tree) when its grid call and its
+refinement became one call on the grid and both end cells.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -89,59 +90,39 @@ def test_radial_pair_grid_origin(benchmark, n, snr_db):
 VERIFIED_SNR_DB = [-5.0, 5.0, 15.0, 25.0]
 
 
-def _forget_last_chain():
-    # each round starts without an incomplete-gamma chain: a tree whose
-    # radial_pair_ncx2 keeps its last chain module-wide drops it here;
-    # outside radial.shared_chain() no chain outlives its call
-    if hasattr(radial, "_last_chain"):
-        radial._last_chain = (np.nan, np.empty(0))
-
-
-# the block in which the verified route's grid call and its refinement share
-# one chain; a tree without it shares through the module-wide last chain
-_shared_chain = getattr(radial, "shared_chain", contextlib.nullcontext)
-
-
 @pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_radial_pair_ncx2_grid(benchmark, n, snr_db):
     # the verified min-max route's 513-point closed-form grid on [0, A]
     A = radial.ChannelConfig.from_snr_db(n, snr_db).A
     Q, G = benchmark.pedantic(radial.radial_pair_ncx2,
-                              (n, np.linspace(0.0, A, 513), A),
-                              setup=_forget_last_chain, rounds=50)
+                              (n, np.linspace(0.0, A, 513), A), rounds=50)
     assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
 
 
 @pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_radial_pair_ncx2_refine(benchmark, n, snr_db):
-    # its 17-point refinement across the grid's last two cells, timed as
-    # the route calls it: right after the grid call at the same A
+def test_radial_pair_ncx2_grid_and_end_cells(benchmark, n, snr_db):
+    # the route's one call: the grid, then its 17-point end cells at x = A
+    # and at x = 0, each summed as a run of its own
     A = radial.ChannelConfig.from_snr_db(n, snr_db).A
     grid = np.linspace(0.0, A, 513)
-    xs = np.linspace(A * (1.0 - 2.0 / 512), A, 17)
-
-    def after_grid():
-        _forget_last_chain()
-        radial.radial_pair_ncx2(n, grid, A)
-
-    with _shared_chain():
-        Q, G = benchmark.pedantic(radial.radial_pair_ncx2, (n, xs, A),
-                                  setup=after_grid, rounds=100)
+    xs = np.concatenate((grid, np.linspace(grid[-2], A, 17),
+                         np.linspace(0.0, grid[1], 17)))
+    Q, G = benchmark.pedantic(radial.radial_pair_ncx2, (n, xs, A),
+                              rounds=50)
     assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
 
 
 @pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_minmax_verified_query(benchmark, n, snr_db):
-    # one verified min-max query as the verified_nd stream asks it, from a
-    # cold chain and a cold k_n memo: the closed-form grid and its
-    # refinement (timed alone above) and the search over beta (timed alone
-    # below)
+    # one verified min-max query as the verified_nd stream asks it, with a
+    # cold k_n memo: the closed-form grid and its end cells in one call
+    # (timed alone above) and the search over beta (timed alone below)
     P = 10.0 ** (snr_db / 10.0)
     pt = benchmark.pedantic(cli.compute_bound, ("minmax_verified", n, P),
-                            setup=_forget_endpoint_pairs, rounds=30)
+                            setup=radial._forget_endpoint_memos, rounds=30)
     assert pt.valid and pt.rate_bits > 0.0
 
 
@@ -150,7 +131,7 @@ def test_minmax_verified_query(benchmark, n, snr_db):
 def test_minmax_verified_beta_search(benchmark, monkeypatch, n, snr_db):
     # the verified route without its sums: the golden-section search over
     # beta, the grid maximum at the chosen beta and the refinement's, on
-    # grid and refinement values computed once beforehand
+    # radial values computed once beforehand
     A = radial.ChannelConfig.from_snr_db(n, snr_db).A
     real, memo = radial.radial_pair_ncx2, {}
 
@@ -171,17 +152,12 @@ ENDPOINT_CHANNELS = ([(n, s) for n in (2, 3, 4, 5) for s in (10.0, 20.0, 30.0)]
                      + [(n, s) for n in (2, 5) for s in (50.0, 60.0)])
 
 
-def _forget_endpoint_pairs():
-    radial._forget_endpoint_memos()
-    _forget_last_chain()
-
-
 @pytest.mark.parametrize("n, snr_db", ENDPOINT_CHANNELS)
 def test_endpoint_pairs(benchmark, n, snr_db):
     # both endpoint pairs of one channel through RadialFunctions, from a
-    # cleared memo and a cold chain, as a query stream meets them; the 50
-    # and 60 dB cases guard the cap, above which the closed form's chain of
-    # about A^2 terms would take up to seconds
+    # cleared memo, as a query stream meets them; the 50 and 60 dB cases
+    # guard the cap, above which the closed form's chain of about A^2 terms
+    # would take up to seconds
     A = radial.ChannelConfig.from_snr_db(n, snr_db).A
 
     def pairs():
@@ -189,7 +165,7 @@ def test_endpoint_pairs(benchmark, n, snr_db):
         return rf.pair(0.0), rf.pair(A)
 
     (q0, g0), (qA, gA) = benchmark.pedantic(
-        pairs, setup=_forget_endpoint_pairs, rounds=30)
+        pairs, setup=radial._forget_endpoint_memos, rounds=30)
     assert 0.0 <= q0 < qA < 1.0 and g0 >= 0.0 and gA > 0.0
 
 

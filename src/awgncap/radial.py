@@ -26,7 +26,6 @@ bound is provable; it also picks which route RadialFunctions reads.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +37,7 @@ from .specfun import gamma_half, gauss_pdf, q_func
 __all__ = [
     "ChannelConfig", "QuadratureError", "vol_ball", "log_vol_ball",
     "k_n_closed", "g_edge", "radial_pair_grid", "radial_pair_ncx2",
-    "amplitude_threshold", "RadialFunctions", "shared_chain",
+    "amplitude_threshold", "RadialFunctions",
 ]
 
 # radial_pair_grid integrates over [A, max(A, x) + _TRUNCATION_SIGMA], where
@@ -338,45 +337,6 @@ def _poisson_window(n: int, xs, A: float, sigmas: float):
     return np.maximum(lo, 0.0).astype(np.int64), hi.astype(np.int64)
 
 
-# the Gbar chain shared inside a shared_chain() block, as [y, chain]; None
-# outside one, where no chain outlives the call that built it
-_chain_scope = None
-
-
-@contextmanager
-def shared_chain():
-    """Let the radial_pair_ncx2 calls inside the block (or the decorated
-    function) share one Gbar chain per A, and drop it when the block ends.
-
-    The verified min-max route's grid call and its refinement at the same A
-    share one chain this way.  A chain is a deterministic function of
-    (y, m), so a shared chain gives the bits a fresh one would.  A nested
-    block has a chain of its own.
-    """
-    global _chain_scope
-    outer, _chain_scope = _chain_scope, [math.nan, np.empty(0)]
-    try:
-        yield
-    finally:
-        _chain_scope = outer
-
-
-def _log_gbar_chain(y: float, m_last: int):
-    """specfun.log_gamma_q_half(y, m) for some m >= m_last, read-only.
-
-    Inside a shared_chain() block, reuses the block's chain when y matches
-    and it is long enough.
-    """
-    scope = _chain_scope
-    if scope is not None and scope[0] == y and scope[1].size > m_last:
-        return scope[1]
-    chain = specfun.log_gamma_q_half(y, m_last)
-    chain.flags.writeable = False
-    if scope is not None:
-        scope[:] = y, chain
-    return chain
-
-
 def _ncx2_sums(n: int, xs, A: float, lo, hi):
     """The Poisson sums of radial_pair_ncx2 over windows covering [lo, hi],
     and whether some window's edge term was not negligible.
@@ -387,10 +347,14 @@ def _ncx2_sums(n: int, xs, A: float, lo, hi):
     log domain (r_k = 0 where h_k <= 0).  A block of consecutive rows sums
     over the union of their windows, so the k-only tables are sliced and
     broadcast, not gathered; rows join a block while it holds at most
-    _BLOCK_ENTRIES entries at that union width.  The two sums are one
-    matrix product with the columns (1, r_k).  Each row's edge terms of
-    both sums are tested against that sum's peak term times e^_EDGE_LOG,
-    or the floor, in the log domain.
+    _BLOCK_ENTRIES entries at that union width.  Each run of nondecreasing
+    x is planned as a call on it alone plans it and gets that call's bits:
+    the chain's values do not depend on its length, the k-only tables are
+    elementwise, and numpy's loops and BLAS product round alike at any
+    operand offset or alignment (a later run slices the tables from a
+    nonzero row).  The two sums are one matrix product with the columns
+    (1, r_k).  Each row's edge terms of both sums are tested against that
+    sum's peak term times e^_EDGE_LOG, or the floor, in the log domain.
     """
     k_first = int(lo.min())
     k_end = int(hi.max()) + 1
@@ -399,7 +363,7 @@ def _ncx2_sums(n: int, xs, A: float, lo, hi):
     # at a = m/2 (one longer, for the m/2 + 1 of the second moment) and at
     # a + 1/2, read from one half-integer chain at y = A^2/2
     m_first, m_end = n + 2 * k_first, n + 2 * k_end
-    log_gq = _log_gbar_chain(0.5 * A * A, m_end)
+    log_gq = specfun.log_gamma_q_half(0.5 * A * A, m_end)
     gq = np.exp(log_gq[m_first:m_end + 1:2])
     gh = np.exp(log_gq[m_first + 1:m_end:2])
     log_fact, c = _k_tables(n, k_first, k_end)
@@ -428,13 +392,18 @@ def _ncx2_sums(n: int, xs, A: float, lo, hi):
     last = np.empty(rows, dtype=np.int64)
     edges = np.empty((2, rows))
     work = np.empty(0)
+    # runs of nondecreasing x, each planned as a call on it alone would be
+    ends = [*(np.flatnonzero(xs[1:] < xs[:-1]) + 1).tolist(), rows]
     i = 0
     while i < rows:
-        if rows * size <= _BLOCK_ENTRIES:
+        if len(ends) == 1 and rows * size <= _BLOCK_ENTRIES:
             j, j0, j1 = rows, 0, size
         else:
-            # the longest run of rows whose union window fits the block
-            look = max(1, _BLOCK_ENTRIES // int(hi[i] - lo[i] + 1))
+            # the longest stretch of the run's rows whose union window fits
+            # the block: all of a run that fits, as in the branch above
+            end = next(e for e in ends if e > i)
+            width = int(hi[i] - lo[i] + 1)
+            look = min(end - i, max(1, _BLOCK_ENTRIES // width))
             b_lo = np.minimum.accumulate(lo[i:i + look])
             b_hi = np.maximum.accumulate(hi[i:i + look])
             entries = (b_hi - b_lo + 1) * np.arange(1, b_lo.size + 1)
@@ -507,9 +476,11 @@ def radial_pair_ncx2(n: int, xs, A: float):
     alone: each x sums a window of k where the terms peak (see
     _poisson_window), and the rows of a block share the union of their
     windows, widened until the edge terms of both sums are below e^-40 of
-    their largest.  The Gbar values come from one half-integer chain at y
-    per call (_log_gbar_chain, shared across calls inside shared_chain()),
-    and the k-only tables (log k!, c_m) from a cache.  Against 40-digit
+    their largest.  Each run of nondecreasing x gets the bits of a call on
+    it alone (_ncx2_sums), so a grid and its end cells can share one call;
+    a widening, which none of the tested grids needs, widens every run.
+    Each call builds its own half-integer Gbar chain at y, and reads the
+    k-only tables (log k!, c_m) from a cache.  Against 40-digit
     references (35 channels, n = 2..16, A up to 40) Q_n is within 8.8e-14
     and g_n within 1.4e-13 absolute, and Q_n within 2e-13 relative down
     to 1e-250; the subtraction in h_k costs g_n its relative accuracy in

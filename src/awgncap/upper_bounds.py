@@ -219,7 +219,7 @@ def _golden_min(fun, lo: float, hi: float, tol: float):
 
 
 _X_GRID_POINTS = 513
-_REFINE_POINTS = 17  # across the grid argmax's two cells: 1/8 grid step
+_REFINE_POINTS = 17  # 1/16 grid step in an end cell, 1/8 across two cells
 
 
 @dataclass(frozen=True)
@@ -288,8 +288,6 @@ def _upper_hull(Q: np.ndarray, G: np.ndarray) -> list[int]:
     return sorted(keep)
 
 
-# the grid call and the refinement share one Gbar chain
-@radial.shared_chain()
 def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
     """min over beta of max over x of D_n(beta, x) on the closed-form grid.
 
@@ -297,14 +295,20 @@ def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
     values: every beta gives an upper bound, so the search needs only the
     grid; it reads that maximum at the grid's upper-hull vertices in
     (Q_n, g_n), in the grid's operation order (usually the two endpoints).
-    At the chosen beta, one 17-point closed-form call across the two cells
-    next to the argmax of all 513 points refines the maximum, which can
-    only raise it; it assumes no unimodality there.  Returns the value, its
-    beta and the interior excess: how far that maximum exceeds the larger
-    endpoint value.
+    At the chosen beta, 17 points across the cells next to the argmax of
+    all 513 points refine the maximum, which can only raise it; it assumes
+    no unimodality there.  The grid's radial_pair_ncx2 call also sums the
+    end cells [x_511, A] and [0, x_1] as runs of their own: an endpoint
+    argmax (all 960 seed-0 verified_nd queries) needs no second call, an
+    interior one a 17-point call across its two cells.  Returns the value,
+    its beta and the interior excess: how far that maximum exceeds the
+    larger endpoint value.
     """
-    xs = np.linspace(0.0, A, _X_GRID_POINTS)
-    Q, G = radial.radial_pair_ncx2(n, xs, A)
+    m, r = _X_GRID_POINTS, _REFINE_POINTS
+    xs = np.linspace(0.0, A, m)
+    Q_all, G_all = radial.radial_pair_ncx2(n, np.concatenate(
+        (xs, np.linspace(xs[-2], A, r), np.linspace(0.0, xs[1], r))), A)
+    Q, G = Q_all[:m], G_all[:m]
     terms = _dn_terms(n, A)
     hull = [(float(Q[i]), float(G[i])) for i in _upper_hull(Q, G)]
 
@@ -316,8 +320,12 @@ def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
     first, coeff = terms(beta_v)
     vals = first + coeff * Q + G
     i = int(np.argmax(vals))
-    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-    q, g = radial.radial_pair_ncx2(n, np.linspace(lo, hi, _REFINE_POINTS), A)
+    cell = {m - 1: slice(m, m + r), 0: slice(m + r, None)}.get(i)
+    if cell is None:
+        q, g = radial.radial_pair_ncx2(
+            n, np.linspace(xs[i - 1], xs[i + 1], r), A)
+    else:
+        q, g = Q_all[cell], G_all[cell]
     val_v = max(float(vals[i]), float(np.max(first + coeff * q + g)))
     return val_v, beta_v, float(val_v - max(vals[0], vals[-1]))
 
@@ -329,8 +337,9 @@ def minmax_dual_detail(n: int, A: float) -> MinmaxDetail:
     uses the three-candidate closed evaluation.  The verified route runs
     golden-section over beta on (0, 1) against the maximum over a 513-point
     x grid (radial values in closed form, read at its upper-hull vertices),
-    refines the whole grid's maximum with one 17-point closed-form call
-    across the argmax's two cells at the beta it chose, and records whether
+    refines the whole grid's maximum at the beta it chose with 17 points
+    across the argmax's cells (summed in the grid's call when the argmax
+    is an endpoint, in a call of their own otherwise), and records whether
     an interior x beat the endpoints there.
     """
     conj_val, conj_beta = _minmax_conjectured(n, A)

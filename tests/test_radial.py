@@ -618,6 +618,23 @@ class TestNcx2Window:
                     assert math.isfinite(pt.rate_bits)
 
 
+class TestNcx2Runs:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
+    def test_concatenated_runs_keep_their_own_bits(self, n):
+        # the verified route's one call: the grid, then its end cells at
+        # x = A and at x = 0; each run of nondecreasing x is summed as a
+        # call on it alone sums it
+        for snr_db in np.arange(-10.0, 40.1, 2.5):
+            A = radial.ChannelConfig.from_snr_db(n, float(snr_db)).A
+            xs = np.linspace(0.0, A, 513)
+            runs = (xs, np.linspace(xs[-2], A, 17),
+                    np.linspace(0.0, xs[1], 17))
+            Q, G = radial.radial_pair_ncx2(n, np.concatenate(runs), A)
+            alone = [radial.radial_pair_ncx2(n, x, A) for x in runs]
+            for got, want in zip((Q, G), zip(*alone)):
+                assert np.array_equal(got, np.concatenate(want)), snr_db
+
+
 class TestNcx2Caches:
     def test_retained_tables_are_bounded(self):
         # at n = 5, 60 dB (A = 2,236) one minmax_verified builds a chain of
@@ -626,7 +643,6 @@ class TestNcx2Caches:
         # the y-free base, c_m, and log k! for half as many k) hold at most
         # 3.5 KEPT_TABLE_LEN float64 values, 1.75 MiB
         cli.compute_bound("minmax_verified", 5, 1e6)
-        assert radial._chain_scope is None
         kept = (*specfun._kept_half_tables, *radial._kept_k_tables)
         total = sum(a.nbytes for a in kept)
         assert 0 < total <= 3.5 * specfun.KEPT_TABLE_LEN * 8

@@ -251,7 +251,6 @@ class TestBetaStar:
         assert f"n={n}, A={A!r} ({snr_db:g} dB)" in str(info.value)
 
 
-@radial.shared_chain()
 def _full_grid_minmax_verified(n, A):
     """upper_bounds._minmax_verified with the golden-section search reading
     all 513 grid points at each beta, kept as the reference for its
@@ -423,7 +422,8 @@ class TestMinmax:
     def test_verified_reads_grid_once_and_refines_once(self, n, snr_db,
                                                        monkeypatch):
         # the beta search reads only the 513-point grid; the refinement at
-        # the chosen beta is one 17-point call across the argmax's two cells
+        # the chosen beta reads the end cell at the argmax, 17 points that
+        # the grid's call summed with the other end cell's 17
         sizes = []
         real = radial.radial_pair_ncx2
 
@@ -434,7 +434,29 @@ class TestMinmax:
         monkeypatch.setattr(radial, "radial_pair_ncx2", counting)
         minmax_dual(n, math.sqrt(n * 10.0 ** (snr_db / 10.0)),
                     conjecture=False)
-        assert sizes == [513, 17]
+        assert sizes == [513 + 2 * 17]
+
+    @pytest.mark.parametrize("n, snr_db", ((2, 10.0), (4, 20.0)))
+    def test_interior_argmax_refines_in_a_call_of_its_own(self, n, snr_db,
+                                                          monkeypatch):
+        # the planted vertex at xs[300] of TestMinmaxHullSearch, 10 nats
+        # high, moves the argmax inside (at 0.05 nats it ties x = A at the
+        # chosen beta): one more 17-point call across its two cells
+        A = ChannelConfig.from_snr_db(n, snr_db).A
+        xs = np.linspace(0.0, A, 513)
+        centre, width = xs[300], 4.0 * xs[1]
+        real, calls = radial.radial_pair_ncx2, []
+
+        def bumped(n_, x, A_):
+            q, g = real(n_, x, A_)
+            x = np.asarray(x, dtype=float)
+            calls.append(x)
+            return q, g + 10.0 * np.exp(-0.5 * ((x - centre) / width) ** 2)
+
+        monkeypatch.setattr(radial, "radial_pair_ncx2", bumped)
+        upper_bounds._minmax_verified(n, A)
+        assert [x.size for x in calls] == [513 + 2 * 17, 17]
+        assert xs[299] == calls[1][0] < centre < calls[1][-1] == xs[301]
 
     @pytest.mark.parametrize("n, snr_db", ((2, 10.0), (3, 30.0)))
     def test_refinement_finds_a_narrow_bump_the_grid_misses(self, n, snr_db,
