@@ -1,7 +1,8 @@
 """Layer microbenchmarks: the angular kernel, the one-point radial pair, the
-endpoint pairs of one channel, the closed-form radial grid, the refined
-bound's threshold, the PAM scan, the 2-D gap search, the 2-D ring
-constellation MI and its lattice sum.
+endpoint pairs of one channel, the endpoint min-max query, the closed-form
+radial grid, the verified min-max query, the refined bound's threshold, the
+PAM scan, the 2-D gap search, the 2-D ring constellation MI and its lattice
+sum.
 
     PYTHONPATH=src python -m pytest benchmarks                      # timed
     PYTHONPATH=src python -m pytest benchmarks --benchmark-disable  # once each
@@ -86,11 +87,11 @@ def test_radial_pair_grid_origin(benchmark, n, snr_db):
     assert 0.0 <= Q[0] < 1.0 and G[0] >= 0.0
 
 
-# the band centres of the verified min-max query stream
-VERIFIED_SNR_DB = [-5.0, 5.0, 15.0, 25.0]
+# the band centres of the query streams, verified_nd's and query_nd's
+BAND_SNR_DB = [-5.0, 5.0, 15.0, 25.0]
 
 
-@pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
+@pytest.mark.parametrize("snr_db", BAND_SNR_DB)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_radial_pair_ncx2_grid(benchmark, n, snr_db):
     # the verified min-max route's 513-point closed-form grid on [0, A]
@@ -100,7 +101,7 @@ def test_radial_pair_ncx2_grid(benchmark, n, snr_db):
     assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
 
 
-@pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
+@pytest.mark.parametrize("snr_db", BAND_SNR_DB)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_radial_pair_ncx2_grid_and_end_cells(benchmark, n, snr_db):
     # the route's one call: the grid, then its 17-point end cells at x = A
@@ -114,7 +115,7 @@ def test_radial_pair_ncx2_grid_and_end_cells(benchmark, n, snr_db):
     assert np.all((Q >= 0.0) & (Q <= 1.0)) and np.all(G >= 0.0)
 
 
-@pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
+@pytest.mark.parametrize("snr_db", BAND_SNR_DB)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_minmax_verified_query(benchmark, n, snr_db):
     # one verified min-max query as the verified_nd stream asks it, with a
@@ -126,7 +127,7 @@ def test_minmax_verified_query(benchmark, n, snr_db):
     assert pt.valid and pt.rate_bits > 0.0
 
 
-@pytest.mark.parametrize("snr_db", VERIFIED_SNR_DB)
+@pytest.mark.parametrize("snr_db", BAND_SNR_DB)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_minmax_verified_beta_search(benchmark, monkeypatch, n, snr_db):
     # the verified route without its sums: the golden-section search over
@@ -144,6 +145,18 @@ def test_minmax_verified_beta_search(benchmark, monkeypatch, n, snr_db):
     monkeypatch.setattr(radial, "radial_pair_ncx2", precomputed)
     want = upper_bounds._minmax_verified(n, A)
     assert benchmark(upper_bounds._minmax_verified, n, A) == want
+
+
+@pytest.mark.parametrize("snr_db", BAND_SNR_DB)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_minmax_conjectured_query(benchmark, n, snr_db):
+    # one endpoint min-max query as the query_nd stream asks it, with cold
+    # memos: below A*_n (-5 dB; 5 dB at n = 3..5) it reads x = A alone,
+    # above it both endpoints and beta*
+    P = 10.0 ** (snr_db / 10.0)
+    pt = benchmark.pedantic(cli.compute_bound, ("minmax_conjectured", n, P),
+                            setup=radial._forget_endpoint_memos, rounds=30)
+    assert pt.valid and pt.rate_bits > 0.0
 
 
 # 10..30 dB lie between A*_n and the closed form's cap for n = 2..5; 50 and

@@ -1,11 +1,11 @@
 """Command-line front end: SNR sweeps to CSV, point queries, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or a bound the
-numerics cannot evaluate (an ArithmeticError or RuntimeError, e.g. beta*
-overflowing at low SNR or a QuadratureError at 100 dB), reported on one
-"error:" line.  CSV output is deterministic: fixed 12-significant-digit
-formatting, rows sorted by (snr_db, bound_id), parallel workers assembled in
-input order.
+numerics cannot evaluate (an ArithmeticError or RuntimeError, e.g. the
+refined bound's threshold not found at n >= 37 or a QuadratureError at
+100 dB), reported on one "error:" line.  CSV output is deterministic:
+fixed 12-significant-digit formatting, rows sorted by (snr_db, bound_id),
+parallel workers assembled in input order.
 """
 
 from __future__ import annotations

@@ -176,9 +176,8 @@ def radial_pair_grid(n: int, xs, A: float):
     panel count until two successive refinements agree to _REL_TOL; the
     disagreement of the last doubling is the error estimate.  Raises
     QuadratureError when four doublings do not converge, or when a converged
-    Q_n leaves [0, 1] by more than 1e-12.  RadialFunctions.pair reads it
-    at n = 1, for n >= 2 below A*_n, and above ENDPOINT_NCX2_MAX_AMPLITUDE
-    or where A*_n is not found; radial_pair_ncx2 serves it in between.
+    Q_n leaves [0, 1] by more than 1e-12.  RadialFunctions.pair reads it in
+    the regimes tabled at _endpoint_pair.
 
     Each pass forms the integrand e^{expo} kernel z^{n-1} on the live (x, z)
     entries alone, where |z - x| < 14, and the dead ones are exactly 0; the
@@ -568,13 +567,13 @@ def amplitude_threshold(n: int) -> float:
 
 
 # The endpoint pairs read radial_pair_ncx2 up to this amplitude and the
-# panel rule above it: the closed form's Gbar chain starts at m = 0 and is
-# about A^2 terms long, while the panel rule's grid is fixed.  Both pairs of
-# one channel from a cold chain, n = 2..5, one thread, best of 5, closed
-# form against panel rule: 0.52-0.59 against 1.95-2.95 ms at A = 60,
-# 1.08-1.28 against 1.73-2.75 ms at A = 100, 2.09-2.23 against 1.67-2.72 ms
-# at A = 150; at A = 2,236 (n = 5, 60 dB) 0.56-1.3 s with 464 MB peak RSS
-# against 3.6 ms.
+# panel rule above it (the regimes are tabled at _endpoint_pair): the closed
+# form's Gbar chain starts at m = 0 and is about A^2 terms long, while the
+# panel rule's grid is fixed.  Both pairs of one channel from a cold chain,
+# n = 2..5, one thread, best of 5, closed form against panel rule:
+# 0.52-0.59 against 1.95-2.95 ms at A = 60, 1.08-1.28 against 1.73-2.75 ms
+# at A = 100, 2.09-2.23 against 1.67-2.72 ms at A = 150; at A = 2,236
+# (n = 5, 60 dB) 0.56-1.3 s with 464 MB peak RSS against 3.6 ms.
 ENDPOINT_NCX2_MAX_AMPLITUDE = 100.0
 
 
@@ -588,37 +587,42 @@ def _refined_provable(n: int, A: float) -> bool:
     return A < amplitude_threshold(n)
 
 
-def _endpoint_route(n: int, A: float):
-    """The pair function behind RadialFunctions.pair at (n, A), by the
-    regimes described there: radial_pair_ncx2 for n >= 2 and
-    A*_n <= A <= ENDPOINT_NCX2_MAX_AMPLITUDE, radial_pair_grid otherwise.
-    Where amplitude_threshold finds no A*_n (n >= 37), refined counts as a
-    candidate and the panel rule stays.
-    """
-    if n == 1 or A > ENDPOINT_NCX2_MAX_AMPLITUDE:
-        return radial_pair_grid
-    try:
-        provable = _refined_provable(n, A)
-    except RuntimeError:
-        provable = True
-    return radial_pair_grid if provable else radial_pair_ncx2
-
-
 @lru_cache(maxsize=64)
 def _endpoint_pair(n: int, A: float, x: float) -> tuple[float, float]:
-    """(Q_n(x, A), g_n(x, A)) from _endpoint_route(n, A), memoized for
-    RadialFunctions.pair; where that is radial_pair_ncx2, x = 0 and x = A
-    read the one entry of _closed_endpoints(n, A).
+    """(Q_n(x, A), g_n(x, A)) for RadialFunctions.pair, memoized, from one
+    of three regimes:
+
+    - below A*_n, and at n = 1, the panel rule radial_pair_grid, bit for
+      bit, one call per x read (n = 1 reads its Gaussian-tail closed form).
+      There refined and minmax_conjectured are algebraically equal, so
+      rounding alone picks the envelope's achiever; these values stay
+      bit-identical until the benchmark's achiever check
+      (perfbench/check.py) is tie-aware.  The endpoint bounds read x = A
+      alone here (upper_bounds._minmax_conjectured);
+    - from A*_n up to ENDPOINT_NCX2_MAX_AMPLITUDE, the closed form
+      radial_pair_ncx2: x = 0 and x = A each read an entry of
+      _closed_endpoints(n, A), one two-point call.  There refined is no
+      candidate, and the two lowest of the others (avg_power, mckellips,
+      minmax_conjectured) stay at least 0.35 % apart (n = 2..8, 0.25 dB
+      grid), so no achiever hangs on the last bits;
+    - above that amplitude, and where amplitude_threshold finds no A*_n
+      (n >= 37; refined then counts as a candidate), the panel rule again,
+      per x: the closed form's Gbar chain grows with A^2.
 
     Both routes are deterministic, so a hit returns the bits a fresh
-    evaluation would.  The endpoint bounds at one (n, A) read two entries,
-    one after the other, so a small bound loses no sharing and keeps the
-    memo from growing over a long stream of queries.
+    evaluation would.  The endpoint bounds at one (n, A) read at most two
+    entries, one after the other, so a small memo loses no sharing and
+    does not grow over a long stream of queries.
     """
-    route = _endpoint_route(n, A)
-    if route is radial_pair_ncx2 and x in (0.0, A):
+    closed = n > 1 and A <= ENDPOINT_NCX2_MAX_AMPLITUDE
+    if closed:
+        try:
+            closed = not _refined_provable(n, A)
+        except RuntimeError:
+            closed = False
+    if closed and x in (0.0, A):
         return _closed_endpoints(n, A)[x == A]
-    Q, G = route(n, [x], A)
+    Q, G = (radial_pair_ncx2 if closed else radial_pair_grid)(n, [x], A)
     return float(Q[0]), float(G[0])
 
 
@@ -641,27 +645,12 @@ class RadialFunctions:
     """The endpoint radial values of one (n, A) channel instance.
 
     pair(x) feeds the endpoint bounds: refined, beta*, minmax_conjectured
-    and d_n.  Its values come from one of three regimes (_endpoint_route):
-
-    - below A*_n, the panel rule radial_pair_grid, bit for bit, one call
-      per x read.  There refined and minmax_conjectured are algebraically
-      equal when the worst case sits at x = A, so rounding alone picks the
-      envelope's achiever; these values stay bit-identical until the
-      benchmark's achiever check (perfbench/check.py) is tie-aware;
-    - from A*_n up to ENDPOINT_NCX2_MAX_AMPLITUDE, the closed form
-      radial_pair_ncx2, one two-point call for x = 0 and x = A.  There
-      refined is no candidate, and the two lowest of the others (avg_power,
-      mckellips, minmax_conjectured) stay at least 0.35 % apart (n = 2..8,
-      0.25 dB grid), so no achiever hangs on the last bits;
-    - above that amplitude, and wherever A*_n is not found, the panel rule
-      again, per x: the closed form's Gbar chain grows with A^2.
-
-    n = 1 reads the Gaussian-tail closed form of radial_pair_grid.  Lookups
-    go through the module-wide memo _endpoint_pair, so the endpoint bounds
-    at one (n, A) share their evaluations, whichever instances they build.
-    The memos are idempotent, so concurrent readers and redundant concurrent
-    writes are safe.  The verified min-max route reads radial_pair_ncx2 on
-    its x grid directly.
+    and d_n.  Its values come from one of three regimes, tabled at
+    _endpoint_pair, a module-wide memo: the endpoint bounds at one (n, A)
+    share their evaluations, whichever instances they build.  The memos
+    are idempotent, so concurrent readers and redundant concurrent writes
+    are safe.  The verified min-max route reads radial_pair_ncx2 on its x
+    grid directly.
     """
 
     def __init__(self, n: int, A: float):

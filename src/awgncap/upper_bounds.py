@@ -177,6 +177,7 @@ def beta_star(n: int, A: float) -> float:
     At low SNR and larger n this form breaks down; each failure names n, A
     and the SNR: OverflowError when e^{-c_n} overflows, ZeroDivisionError
     when the two tails coincide, ValueError when beta* rounds to 0 or 1.
+    minmax_conjectured forms beta* only above A*_n, away from these.
     """
     rf = RadialFunctions(n, A)
     q0, g0 = rf.pair(0.0)
@@ -248,20 +249,28 @@ class MinmaxDetail:
 def _minmax_conjectured(n: int, A: float) -> tuple[float, float]:
     """min over beta of max(D_n(beta,0), D_n(beta,A)), assuming endpoint max.
 
-    The minimum is either at the crossing beta* or at the per-endpoint
-    minimizers beta_hat(x) = 1 - Q_n(x, A), whichever candidate is least.
+    x = A is read first.  Where D_n's Q_n coefficient at beta_hat_A =
+    1 - Q_n(A, A) is >= 0 (below A*_n), D_n(beta_hat_A, .) is nondecreasing
+    in x, as Q_n and g_n are, and beta_hat_A minimizes D_n(., A): the answer
+    is D_n(beta_hat_A, A), with no beta* and no x = 0.  Otherwise the
+    minimum is at the crossing beta* or at a per-endpoint minimizer
+    beta_hat(x) = 1 - Q_n(x, A), whichever candidate is least.
     """
-    bs = beta_star(n, A)
     rf = RadialFunctions(n, A)
-    (q0, g0), (qA, gA) = rf.pair(0.0), rf.pair(A)
+    qA, gA = rf.pair(A)
     terms = _dn_terms(n, A)
+    bA = min(max(1.0 - qA, 1e-12), 1.0 - 1e-12)
+    first, coeff = terms(bA)
+    if coeff >= 0.0:
+        return first + coeff * qA + gA, bA
+    bs = beta_star(n, A)
+    q0, g0 = rf.pair(0.0)
 
     def endpoints(beta):
         first, coeff = terms(beta)
         return first + coeff * q0 + g0, first + coeff * qA + gA
 
     b0 = min(max(1.0 - q0, 1e-12), 1.0 - 1e-12)
-    bA = min(max(1.0 - qA, 1e-12), 1.0 - 1e-12)
     cands = [(endpoints(bs)[1], bs), (max(endpoints(b0)), b0),
              (max(endpoints(bA)), bA)]
     return min(cands, key=lambda t: t[0])
@@ -333,14 +342,14 @@ def _minmax_verified(n: int, A: float) -> tuple[float, float, float]:
 def minmax_dual_detail(n: int, A: float) -> MinmaxDetail:
     """Evaluate min_beta max_x D_n(beta, x) both ways.
 
-    The conjectured route assumes the max over x sits at an endpoint and
-    uses the three-candidate closed evaluation.  The verified route runs
-    golden-section over beta on (0, 1) against the maximum over a 513-point
-    x grid (radial values in closed form, read at its upper-hull vertices),
-    refines the whole grid's maximum at the beta it chose with 17 points
-    across the argmax's cells (summed in the grid's call when the argmax
-    is an endpoint, in a call of their own otherwise), and records whether
-    an interior x beat the endpoints there.
+    The conjectured route assumes the max over x sits at an endpoint
+    (_minmax_conjectured: x = A alone below A*_n, three candidates above).
+    The verified route runs golden-section over beta on (0, 1) against the
+    maximum over a 513-point x grid (radial values in closed form, read at
+    its upper-hull vertices), refines the whole grid's maximum at the beta
+    it chose with 17 points across the argmax's cells (summed in the grid's
+    call when the argmax is an endpoint, in a call of their own otherwise),
+    and records whether an interior x beat the endpoints there.
     """
     conj_val, conj_beta = _minmax_conjectured(n, A)
     val_v, beta_v, excess = _minmax_verified(n, A)
@@ -369,21 +378,20 @@ def minmax_dual(n: int, A: float, conjecture: bool = True) -> BoundPoint:
                       bound_id=bound_id, valid=True)
 
 
-def envelope(n: int, P: float, conjecture: bool = True) -> BoundPoint:
+def envelope(n: int, P: float) -> BoundPoint:
     """Pointwise minimum of the upper bounds, recording the achiever.
 
     Candidates, in this order: average-power capacity (n/2)log2(1+P), the
     McKellips(-type) bound, the refined bound where provable, and the
-    min-max dual bound.  min keeps the first of equal rates, so the order
-    settles ties.
+    conjectured min-max dual bound.  min keeps the first of equal rates, so
+    the order settles ties.
     """
     A = ChannelConfig.from_snr(n, P).A
     cands = [(avg_power(n, P), "avg_power"), (mckellips_nd(n, P), "mckellips")]
     pt = refined(n, P)
     if pt.valid:
         cands.append((pt.rate_bits, "refined"))
-    mm = minmax_dual(n, A, conjecture)
-    cands.append((mm.rate_bits, mm.bound_id))
+    cands.append((minmax_dual(n, A).rate_bits, "minmax_conjectured"))
     rate, achiever = min(cands, key=lambda t: t[0])
     return BoundPoint(snr_db=10.0 * math.log10(P), rate_bits=rate,
                       bound_id="envelope", valid=True, achiever=achiever)

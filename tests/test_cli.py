@@ -235,13 +235,13 @@ class TestInvalidInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        ("point --dim 5 --snr-db -20 --bounds envelope", "math range error"),
-        ("point --dim 12 --snr-db -30 --bounds minmax_conjectured",
-         "degenerate radial tails"),
         ("point --dim 64 --snr-db 0 --bounds refined",
          "threshold bracket failed for n=64"),
-        ("sweep --dim 5 --snr-db-min -20 --snr-db-max -19 --step 1 "
-         "--bounds envelope", "math range error"),
+        # amplitude_threshold finds no A*_n above n = 36
+        ("point --dim 40 --snr-db 0 --bounds envelope",
+         "threshold bracket failed for n=40"),
+        ("sweep --dim 40 --snr-db-min -1 --snr-db-max 0 --step 1 "
+         "--bounds envelope", "threshold bracket failed for n=40"),
         # the PAM scan's limit, raised before it allocates 2A^2 points
         ("point --dim 1 --snr-db 300 --bounds pam_lower",
          "pam_lower is evaluated up to A = 1000 (60 dB), got A = 1e+15 "
@@ -272,6 +272,31 @@ class TestInvalidInput:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        "point --dim 5 --snr-db -20 --bounds envelope",
+        "point --dim 12 --snr-db -30 --bounds minmax_conjectured",
+        "point --dim 32 --snr-db -30 --bounds minmax_conjectured",
+        "sweep --dim 5 --snr-db-min -20 --snr-db-max -19 --step 1 "
+        "--bounds envelope",
+    ])
+    def test_answers_where_beta_star_fails(self, argv, tmp_path, capsys):
+        # below A*_n the endpoint min-max reads x = A alone and never forms
+        # beta*, which fails on these channels when called directly
+        # (TestBetaStar)
+        out = tmp_path / "x.csv"
+        argv = argv.split()
+        if argv[0] == "sweep":
+            argv += ["--out", str(out)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        text = out.read_text() if argv[0] == "sweep" else captured.out
+        rows = list(csv.reader(text.splitlines()))
+        assert rows[0] == ["snr_db", "bound_id", "rate_bits", "valid",
+                           "achiever"]
+        assert len(rows) == (3 if argv[0] == "sweep" else 2)
+        assert all(float(r[2]) > 0.0 and r[3] == "true" for r in rows[1:])
+
     @pytest.mark.parametrize("argv, message", [
         ("point --dim 5 --snr-db -20 --bounds envelope",
          "at n=5, A=0.22360679774997896 (-20 dB): math range error"),
@@ -281,12 +306,16 @@ class TestInvalidInput:
          "beta* = 1.0 rounds out of (0, 1) at n=32, A=0.17888543819998318 "
          "(-30 dB)"),
     ])
-    def test_beta_star_failure_names_the_channel(self, argv, message, capsys):
-        assert main(argv.split()) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
-        assert captured.err.endswith(message + "\n")
-        assert captured.out == ""
+    def test_beta_star_failure_names_the_channel(self, argv, message):
+        # the CLI answers these channels (test_answers_where_beta_star_fails)
+        # without forming beta*; beta* itself still fails there, with the
+        # message the CLI prints on its one "error:" line
+        args = cli.build_parser().parse_args(argv.split())
+        A = radial.ChannelConfig.from_snr_db(args.dim, args.snr_db).A
+        with pytest.raises((ArithmeticError, ValueError)) as info:
+            upper_bounds.beta_star(args.dim, A)
+        assert str(info.value).endswith(message)
+        assert "\n" not in str(info.value)
 
     def test_compute_bound_checks_the_channel_first(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -471,11 +500,11 @@ def _moved(field, by, where=lambda *args: True):
 
 def _largest_candidate(real):
     """An envelope that reports its largest valid candidate, not its least."""
-    def fake(n, P, conjecture=True):
+    def fake(n, P):
         pts = [compute_bound(b, n, P) for b in
                ("avg_power", "mckellips", "refined", "minmax_conjectured")]
         top = max((p for p in pts if p.valid), key=lambda p: p.rate_bits)
-        return dataclasses.replace(real(n, P, conjecture),
+        return dataclasses.replace(real(n, P),
                                    rate_bits=top.rate_bits,
                                    achiever=top.bound_id)
     return fake

@@ -275,6 +275,27 @@ def _full_grid_minmax_verified(n, A):
     return val, beta, float(val - max(vals[0], vals[-1]))
 
 
+def _three_candidate_minmax(n, A):
+    """upper_bounds._minmax_conjectured as a search over all three
+    candidates, beta*, 1 - Q_n(0, A) and 1 - Q_n(A, A), at every channel,
+    kept as the reference for its x = A path.  Returns (value, beta).
+    """
+    bs = beta_star(n, A)
+    rf = radial.RadialFunctions(n, A)
+    (q0, g0), (qA, gA) = rf.pair(0.0), rf.pair(A)
+    terms = upper_bounds._dn_terms(n, A)
+
+    def endpoints(beta):
+        first, coeff = terms(beta)
+        return first + coeff * q0 + g0, first + coeff * qA + gA
+
+    b0 = min(max(1.0 - q0, 1e-12), 1.0 - 1e-12)
+    bA = min(max(1.0 - qA, 1e-12), 1.0 - 1e-12)
+    cands = [(endpoints(bs)[1], bs), (max(endpoints(b0)), b0),
+             (max(endpoints(bA)), bA)]
+    return min(cands, key=lambda t: t[0])
+
+
 class TestUpperHull:
     def test_convex_points_keep_only_the_ends(self):
         Q = np.linspace(0.0, 1.0, 33)
@@ -391,21 +412,29 @@ class TestMinmax:
         assert "np.float64" not in repr(det)
 
     def test_verified_over_wide_domain(self):
-        # the verified route reads only closed-form radial values, so it
-        # answers where the conjectured route overflows or fails
+        # both routes answer on every channel here.  The verified value
+        # never reads below the conjectured one; the two agree wherever the
+        # verified beta lies inside its golden-section box (1e-6, 1 - 1e-6),
+        # and read up to 1.45e-6 bits apart at the box's lower edge (n >= 5
+        # at -30 dB, n = 32 at -10 dB: beta_hat_A = 1 - Q_n(A, A) is 9.4e-8
+        # down to 2.2e-16 there)
+        compared = 0
         for n in (2, 3, 5, 8, 12, 16, 32):
             for snr_db in (-30.0, -10.0, 10.0, 30.0):
                 P = 10.0 ** (snr_db / 10.0)
                 A = math.sqrt(n * P)
-                ver = minmax_dual(n, A, conjecture=False).rate_bits
+                ver_nats, beta, _ = upper_bounds._minmax_verified(n, A)
+                ver = ver_nats / LN2
                 assert math.isfinite(ver), (n, snr_db)
                 assert ver >= lower_bounds.volume_lower_bound(n, P) - 1e-9
-                try:
-                    conj = minmax_dual(n, A, conjecture=True).rate_bits
-                except (OverflowError, ZeroDivisionError, ValueError,
-                        radial.QuadratureError):
-                    continue
-                assert abs(ver - conj) * LN2 <= 1e-7, (n, snr_db)
+                conj = minmax_dual(n, A, conjecture=True).rate_bits
+                assert ver >= conj - 1e-12, (n, snr_db)
+                if 1e-6 + 1e-8 < beta < 1.0 - 1e-6 - 1e-8:
+                    assert abs(ver - conj) * LN2 <= 1e-7, (n, snr_db)
+                    compared += 1
+        # the 16 channels where the three-candidate search answered, and 5
+        # where it failed
+        assert compared == 21
 
     def test_verified_route_never_reads_beta_star(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -414,8 +443,40 @@ class TestMinmax:
         monkeypatch.setattr(upper_bounds, "beta_star", fail)
         pt = minmax_dual(3, math.sqrt(3 * 10.0 ** -3), conjecture=False)
         assert pt.bound_id == "minmax_verified" and pt.rate_bits > 0.0
+        # above A*_3 = 3.65 the conjectured route forms beta*
         with pytest.raises(OverflowError):
-            minmax_dual(3, 2.0, conjecture=True)
+            minmax_dual(3, 5.0, conjecture=True)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 8, 12, 16, 48))
+    def test_conjectured_matches_three_candidate_search(self, n):
+        # below A*_n the conjectured route reads x = A alone; wherever the
+        # three-candidate search answers, both give the same bits, value
+        # and beta, on either side of A*_n
+        short = full = 0
+        for snr_db in range(-40, 31):
+            A = ChannelConfig.from_snr_db(n, float(snr_db)).A
+            try:
+                want = _three_candidate_minmax(n, A)
+            except (OverflowError, ZeroDivisionError, ValueError,
+                    radial.QuadratureError):
+                continue
+            got = upper_bounds._minmax_conjectured(n, A)
+            assert [v.hex() for v in got] == [v.hex() for v in want], snr_db
+            first, coeff = upper_bounds._dn_terms(n, A)(got[1])
+            short += coeff >= 0.0
+            full += coeff < 0.0
+        assert short >= 18 and full >= 11
+
+    def test_references_where_beta_star_failed(self):
+        # 40-digit references where beta* used to fail: at n = 12 and
+        # -28.7 dB beta_hat_A's form rounds 1.43e-12 above it
+        for n, snr_db, bits, above, below in (
+                (8, -10.0, 0.69765318146052068, 1e-14, 1e-14),
+                (5, -20.0, 0.050006423667575008, 1e-14, 1e-14),
+                (12, -28.7, 0.017005363356995904, 2e-12, 1e-14)):
+            rate = cli.compute_bound("minmax_conjectured", n,
+                                     10.0 ** (snr_db / 10.0)).rate_bits
+            assert bits - below <= rate <= bits + above, (n, snr_db)
 
     @pytest.mark.parametrize("n", (2, 3, 5))
     @pytest.mark.parametrize("snr_db", (10.0, 30.0))
@@ -558,13 +619,6 @@ class TestEnvelope:
             env = envelope(n, 2.0)
             assert (env.rate_bits, env.achiever) == (1.0, achiever)
 
-    def test_verified_variant_keeps_minmax_candidate(self):
-        P = 10.0 ** 1.5  # high SNR: minmax is the achiever
-        conj = envelope(2, P, conjecture=True)
-        ver = envelope(2, P, conjecture=False)
-        assert ver.achiever == "minmax_verified"
-        assert ver.rate_bits == pytest.approx(conj.rate_bits, abs=1e-7)
-
 
 _ENDPOINT_IDS = ("envelope", "refined", "minmax_conjectured")
 
@@ -588,10 +642,10 @@ class TestEndpointPairs:
             return fn(), calls
 
     def test_three_bounds_share_two_radial_evaluations(self, monkeypatch):
-        # one channel per route: below A*_3 = 3.65 (panel rule, one call
-        # per endpoint), between A*_3 and the closed form's cap
-        # (radial_pair_ncx2, one call for both endpoints), above the cap at
-        # A = 112 (panel rule)
+        # one channel per route: below A*_3 = 3.65 (panel rule, x = A
+        # alone), between A*_3 and the closed form's cap (radial_pair_ncx2,
+        # one call for both endpoints), above the cap at A = 112 (panel
+        # rule, one call per endpoint)
         channels = [(3, 10.0 ** 0.2, "radial_pair_grid"),
                     (3, 10.0 ** 0.8, "radial_pair_ncx2"),
                     (2, 10.0 ** 3.8, "radial_pair_grid")]
@@ -606,6 +660,8 @@ class TestEndpointPairs:
                 b: cli.compute_bound(b, n, P) for b in _ENDPOINT_IDS})
             if route == "radial_pair_ncx2":
                 assert calls == [(route, [0.0, A])]
+            elif A < amplitude_threshold(n):
+                assert calls == [(route, [A])]
             else:
                 assert sorted(calls) == [(route, [0.0]), (route, [A])]
             assert warm == cold
@@ -625,6 +681,25 @@ class TestEndpointPairs:
             monkeypatch, lambda: cli.compute_bound("refined", n, P))
         xs = [0.0, A] if want == "radial_pair_ncx2" else [A]
         assert calls == [(want, xs)]
+
+    @pytest.mark.parametrize("bound_id", ("minmax_conjectured", "envelope"))
+    def test_below_threshold_reads_x_equal_a_alone(self, monkeypatch,
+                                                   bound_id):
+        # at n = 3 and 2 dB (A = 2.18 < A*_3 = 3.65) D_n's Q_n coefficient
+        # at beta_hat_A is >= 0: a cold query reads x = A, once, and never
+        # forms beta*
+        n, P = 3, 10.0 ** 0.2
+        A = math.sqrt(n * P)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("beta_star must not be called")
+
+        monkeypatch.setattr(upper_bounds, "beta_star", fail)
+        radial._forget_endpoint_memos()
+        pt, calls = self._count_calls(
+            monkeypatch, lambda: cli.compute_bound(bound_id, n, P))
+        assert calls == [("radial_pair_grid", [A])]
+        assert pt.rate_bits > 0.0
 
     @pytest.mark.parametrize("bound_id", _ENDPOINT_IDS)
     def test_probability_outside_unit_interval_raises(self, bound_id):
